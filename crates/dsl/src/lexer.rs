@@ -114,6 +114,23 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
+    /// Step over `n` bytes that contain no newline.
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        self.col += n;
+    }
+
+    /// Length of the run of bytes at the cursor accepted by `keep`, which
+    /// sees each byte together with the one after it.
+    fn run_len(&self, mut keep: impl FnMut(u8, Option<u8>) -> bool) -> usize {
+        let rest = &self.src[self.pos..];
+        let mut n = 0;
+        while n < rest.len() && keep(rest[n], rest.get(n + 1).copied()) {
+            n += 1;
+        }
+        n
+    }
+
     fn span(&self) -> Span {
         Span {
             line: u32::try_from(self.line).unwrap_or(u32::MAX),
@@ -124,7 +141,8 @@ impl<'a> Lexer<'a> {
     fn skip_trivia(&mut self) -> Result<(), SegbusError> {
         loop {
             match (self.peek(), self.peek2()) {
-                (Some(b' ' | b'\t' | b'\r' | b'\n'), _) => {
+                (Some(b' ' | b'\t' | b'\r'), _) => self.advance(1),
+                (Some(b'\n'), _) => {
                     self.bump();
                 }
                 (Some(b'/'), Some(b'/')) => {
@@ -189,19 +207,14 @@ impl<'a> Lexer<'a> {
             b'0'..=b'9' => {
                 let start = self.pos;
                 let mut is_float = false;
-                while let Some(d) = self.peek() {
-                    if d.is_ascii_digit() {
-                        self.bump();
-                    } else if d == b'.'
-                        && !is_float
-                        && self.peek2().is_some_and(|n| n.is_ascii_digit())
-                    {
+                let n = self.run_len(|d, next| {
+                    if d == b'.' && !is_float && next.is_some_and(|n| n.is_ascii_digit()) {
                         is_float = true;
-                        self.bump();
-                    } else {
-                        break;
+                        return true;
                     }
-                }
+                    d.is_ascii_digit()
+                });
+                self.advance(n);
                 // The scanned slice is ASCII digits and dots by construction;
                 // the lossy conversion can never actually lose anything.
                 let text = String::from_utf8_lossy(&self.src[start..self.pos]);
@@ -219,21 +232,11 @@ impl<'a> Lexer<'a> {
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = self.pos;
-                while let Some(d) = self.peek() {
-                    if d.is_ascii_alphanumeric() || d == b'_' {
-                        self.bump();
-                    } else if d == b'-'
-                        && self
-                            .peek2()
-                            .is_some_and(|n| n.is_ascii_alphanumeric() || n == b'_')
-                    {
-                        // Interior hyphens are part of the name ("mp3-decoder");
-                        // "P0->P1" still lexes as an arrow because '>' follows.
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
+                let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+                // Interior hyphens are part of the name ("mp3-decoder");
+                // "P0->P1" still lexes as an arrow because '>' follows.
+                let n = self.run_len(|d, next| word(d) || (d == b'-' && next.is_some_and(word)));
+                self.advance(n);
                 TokenKind::Ident(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
             }
             other => {

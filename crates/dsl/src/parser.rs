@@ -91,21 +91,22 @@ pub fn parse_source(src: &str) -> Result<ParsedSource, SegbusError> {
 }
 
 struct Parser {
+    /// The lexed source, ending in `Eof`; `pos` never passes the `Eof`.
     tokens: Vec<Token>,
     pos: usize,
 }
 
 impl Parser {
     fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+        &self.tokens[self.pos]
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
+    /// Advance past the current token. The trailing `Eof` is never passed,
+    /// so [`Parser::peek`] always has a token to show.
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn err(&self, msg: impl Into<String>) -> SegbusError {
@@ -117,22 +118,28 @@ impl Parser {
         SegbusError::new(code, msg).with_span(span.line, span.col)
     }
 
-    fn expect_kind(&mut self, k: &TokenKind) -> Result<Token, SegbusError> {
+    fn expect_kind(&mut self, k: &TokenKind) -> Result<(), SegbusError> {
         if &self.peek().kind == k {
-            Ok(self.bump())
+            self.bump();
+            Ok(())
         } else {
             Err(self.err(format!("expected {k}, found {}", self.peek().kind)))
         }
     }
 
+    /// The current identifier, moved out of the token buffer (the parser
+    /// never looks back, so no token is cloned).
     fn ident(&mut self) -> Result<String, SegbusError> {
-        match &self.peek().kind {
+        match &mut self.tokens[self.pos].kind {
             TokenKind::Ident(s) => {
-                let s = s.clone();
+                let s = std::mem::take(s);
                 self.bump();
                 Ok(s)
             }
-            other => Err(self.err(format!("expected an identifier, found {other}"))),
+            other => {
+                let msg = format!("expected an identifier, found {other}");
+                Err(self.err(msg))
+            }
         }
     }
 

@@ -80,10 +80,11 @@ pub fn to_dsl(psm: &Psm) -> String {
         "    ca {{ period_ps {}; }}",
         platform.ca_clock().period_ps()
     );
-    for i in 0..platform.segment_count() {
+    let groups = psm.allocation().groups(platform.segment_count());
+    for (i, group) in groups.iter().enumerate() {
         let seg = SegmentId(i as u16);
         let mut hosts = String::new();
-        for p in psm.allocation().processes_on(seg) {
+        for &p in group {
             hosts.push(' ');
             hosts.push_str(&psm.application().process(p).name);
         }

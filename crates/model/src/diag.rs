@@ -102,6 +102,7 @@ impl ModelError {
             ModelError::ZeroPackageSize => "M008",
             ModelError::Unplaced(_) => "M009",
             ModelError::InvalidNoise { .. } => "M010",
+            ModelError::Cycle(_) => "M011",
             ModelError::Invalid { first_code, .. } => first_code,
         }
     }
@@ -142,6 +143,7 @@ mod tests {
         assert_eq!(ModelError::NoSegments.code(), "M006");
         assert_eq!(ModelError::ZeroPackageSize.code(), "M008");
         assert_eq!(ModelError::Unplaced(ProcessId(0)).code(), "M009");
+        assert_eq!(ModelError::Cycle(ProcessId(0)).code(), "M011");
         let invalid = ModelError::Invalid {
             errors: 1,
             first: "x".into(),

@@ -42,6 +42,9 @@ pub enum ModelError {
         /// What is wrong with the distribution.
         reason: String,
     },
+    /// The dataflow graph has a cycle; the process is the lowest-numbered
+    /// one that never became ready (on a cycle or downstream of one).
+    Cycle(ProcessId),
     /// The application/platform pair failed full validation.
     Invalid {
         /// Number of error-severity diagnostics produced.
@@ -73,6 +76,9 @@ impl fmt::Display for ModelError {
             ModelError::Unplaced(p) => write!(f, "process {p} is not placed on any segment"),
             ModelError::InvalidNoise { flow, reason } => {
                 write!(f, "invalid distribution on flow {flow}: {reason}")
+            }
+            ModelError::Cycle(p) => {
+                write!(f, "the dataflow graph has a cycle: {p} never becomes ready")
             }
             ModelError::Invalid { errors, first, .. } => {
                 write!(

@@ -3,7 +3,7 @@
 //! The PSM (paper §2.2/§3.2) combines a platform instance with the placement
 //! of every application process on a segment. [`Psm`] bundles platform,
 //! application and allocation after validating them together, and derives
-//! the communication matrix.
+//! the communication matrix on demand.
 
 use crate::error::ModelError;
 use crate::ids::{ProcessId, SegmentId};
@@ -86,6 +86,31 @@ impl Allocation {
         self.slots.iter().filter(|slot| **slot == Some(s)).count()
     }
 
+    /// [`Allocation::count_on`] for each of the first `n` segments, in one
+    /// pass over the placements.
+    pub(crate) fn counts(&self, n: usize) -> Vec<usize> {
+        let mut counts = vec![0; n];
+        for s in self.slots.iter().flatten() {
+            if let Some(c) = counts.get_mut(s.index()) {
+                *c += 1;
+            }
+        }
+        counts
+    }
+
+    /// [`Allocation::processes_on`] for each of the first `n` segments, in
+    /// one pass over the placements (the inverse of
+    /// [`Allocation::from_groups`]).
+    pub fn groups(&self, n: usize) -> Vec<Vec<ProcessId>> {
+        let mut groups = vec![Vec::new(); n];
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some(g) = slot.and_then(|s| groups.get_mut(s.index())) {
+                g.push(ProcessId(i as u32));
+            }
+        }
+        groups
+    }
+
     /// `true` if every one of the first `n` processes is placed.
     pub fn is_complete(&self, n: usize) -> bool {
         self.slots.len() >= n && self.slots[..n].iter().all(Option::is_some)
@@ -159,7 +184,6 @@ pub struct Psm {
     platform: Platform,
     application: Application,
     allocation: Allocation,
-    matrix: CommMatrix,
 }
 
 impl Psm {
@@ -182,12 +206,10 @@ impl Psm {
                 first_code: first.constraint.code(),
             });
         }
-        let matrix = CommMatrix::from_application(&application);
         Ok(Psm {
             platform,
             application,
             allocation,
-            matrix,
         })
     }
 
@@ -206,9 +228,11 @@ impl Psm {
         &self.allocation
     }
 
-    /// The derived communication matrix.
-    pub fn matrix(&self) -> &CommMatrix {
-        &self.matrix
+    /// The communication matrix, computed on each call. It is dense —
+    /// O(P²) memory — so construction does not build it; only callers
+    /// that print or inspect it pay for it.
+    pub fn matrix(&self) -> CommMatrix {
+        CommMatrix::from_application(&self.application)
     }
 
     /// Segment of a process (always defined after validation).
@@ -278,6 +302,11 @@ mod tests {
             a.processes_on(SegmentId(2)),
             vec![ProcessId(4), ProcessId(5)]
         );
+        assert_eq!(a.counts(4), vec![3, 1, 2, 0]);
+        assert_eq!(a.counts(2), vec![3, 1]);
+        for (s, group) in a.groups(3).iter().enumerate() {
+            assert_eq!(*group, a.processes_on(SegmentId(s as u16)));
+        }
     }
 
     #[test]

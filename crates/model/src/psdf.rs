@@ -19,7 +19,7 @@
 //! reference package size* and scales it proportionally when the platform
 //! repackages the stream; [`CostModel::PerPackage`] uses `C` verbatim.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::num::NonZeroU32;
 
@@ -229,11 +229,52 @@ pub struct Wave {
     pub flows: Vec<FlowId>,
 }
 
+/// Name → id index over an application's processes. The first
+/// declaration of a name wins, so duplicates resolve exactly as a
+/// front-to-back scan would.
+///
+/// Derived data: it is a function of the process list, so it compares
+/// equal unconditionally and stays out of `Debug` output.
+#[derive(Clone, Default)]
+struct NameIndex(HashMap<String, ProcessId>);
+
+impl PartialEq for NameIndex {
+    fn eq(&self, _: &NameIndex) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for NameIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("NameIndex")
+    }
+}
+
+/// Per-process flow counts and the latest order among a process's inputs,
+/// gathered in one pass over the flows.
+pub(crate) struct Degrees {
+    /// Number of flows whose destination is the process.
+    pub(crate) inputs: Vec<u32>,
+    /// Number of flows whose source is the process.
+    pub(crate) outputs: Vec<u32>,
+    /// Largest order among the process's input flows (`None` without any).
+    pub(crate) max_input_order: Vec<Option<u32>>,
+}
+
+impl Degrees {
+    /// `true` if flow `f` starts strictly after every flow feeding its
+    /// source.
+    pub(crate) fn flow_respects_dependencies(&self, f: &Flow) -> bool {
+        self.max_input_order[f.src.index()].is_none_or(|m| m < f.order)
+    }
+}
+
 /// A complete PSDF application: processes plus packet flows.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Application {
     name: String,
     processes: Vec<Process>,
+    by_name: NameIndex,
     flows: Vec<Flow>,
     cost_model: CostModel,
     /// Stochastic annotations, keyed by flow (see [`crate::stochastic`]).
@@ -248,6 +289,7 @@ impl Application {
         Application {
             name: name.into(),
             processes: Vec::new(),
+            by_name: NameIndex::default(),
             flows: Vec::new(),
             cost_model: CostModel::default(),
             noise: BTreeMap::new(),
@@ -275,9 +317,12 @@ impl Application {
         self.cost_model = cm;
     }
 
-    /// Add a process, returning its id.
+    /// Add a process, returning its id. A repeated name is accepted (the
+    /// validator reports it as V011); [`Application::process_by_name`]
+    /// keeps resolving it to the first declaration.
     pub fn add_process(&mut self, p: Process) -> ProcessId {
         let id = ProcessId(self.processes.len() as u32);
+        self.by_name.0.entry(p.name.clone()).or_insert(id);
         self.processes.push(p);
         id
     }
@@ -329,12 +374,10 @@ impl Application {
         &self.flows[id.index()]
     }
 
-    /// Find a process id by name.
+    /// Find a process id by name (the first declaration when the name is
+    /// used more than once). O(1).
     pub fn process_by_name(&self, name: &str) -> Option<ProcessId> {
-        self.processes
-            .iter()
-            .position(|p| p.name == name)
-            .map(|i| ProcessId(i as u32))
+        self.by_name.0.get(name).copied()
     }
 
     /// Ids of the flows whose source is `p`, in flow order.
@@ -355,19 +398,40 @@ impl Application {
             .map(|(i, _)| FlowId(i as u32))
     }
 
+    /// In/out degrees and latest input order of every process, in one
+    /// pass over the flows.
+    pub(crate) fn degrees(&self) -> Degrees {
+        let n = self.processes.len();
+        let mut d = Degrees {
+            inputs: vec![0; n],
+            outputs: vec![0; n],
+            max_input_order: vec![None; n],
+        };
+        for f in &self.flows {
+            d.outputs[f.src.index()] += 1;
+            let dst = f.dst.index();
+            d.inputs[dst] += 1;
+            let m = &mut d.max_input_order[dst];
+            *m = Some(m.map_or(f.order, |m| m.max(f.order)));
+        }
+        d
+    }
+
     /// Processes with no incoming flows (the graph's sources).
     pub fn sources(&self) -> Vec<ProcessId> {
+        let d = self.degrees();
         (0..self.processes.len() as u32)
             .map(ProcessId)
-            .filter(|&p| self.inputs_of(p).next().is_none())
+            .filter(|p| d.inputs[p.index()] == 0)
             .collect()
     }
 
     /// Processes with no outgoing flows (the graph's sinks).
     pub fn sinks(&self) -> Vec<ProcessId> {
+        let d = self.degrees();
         (0..self.processes.len() as u32)
             .map(ProcessId)
-            .filter(|&p| self.outputs_of(p).next().is_none())
+            .filter(|p| d.outputs[p.index()] == 0)
             .collect()
     }
 
@@ -398,63 +462,70 @@ impl Application {
     /// i.e. the wave schedule respects data dependencies. Initial processes
     /// (no inputs) are unconstrained.
     pub fn orders_respect_dependencies(&self) -> bool {
-        self.flows.iter().all(|f| {
-            self.inputs_of(f.src)
-                .all(|in_id| self.flow(in_id).order < f.order)
-        })
+        let d = self.degrees();
+        self.flows.iter().all(|f| d.flow_respects_dependencies(f))
     }
 
-    /// Assign ordering numbers by topological wave: sources' flows get
-    /// order 1, flows from processes whose inputs all arrive in waves `< k`
-    /// get order `k`. Returns an error if the graph has a cycle.
-    ///
-    /// Useful for generated applications; the MP3 model carries the paper's
-    /// explicit ordering.
-    pub fn assign_orders_topologically(&mut self) -> Result<(), ModelError> {
+    /// The topological wave of every process, indexed by [`ProcessId`]:
+    /// sources are at level 1, and a process sits one level past its
+    /// latest-ready input. Returns [`ModelError::Cycle`] naming the
+    /// lowest-numbered process that never becomes ready when the graph
+    /// has a cycle. O(P + F): Kahn's algorithm over a CSR out-adjacency.
+    pub(crate) fn topological_levels(&self) -> Result<Vec<u32>, ModelError> {
         let n = self.processes.len();
-        // level[p] = wave in which p's outputs may start (1-based).
-        let mut level = vec![0u32; n];
+        // CSR out-adjacency: the targets of process p's flows, in flow
+        // order, are `targets[start[p]..start[p + 1]]`.
+        let mut start = vec![0usize; n + 1];
         let mut indeg = vec![0usize; n];
         for f in &self.flows {
+            start[f.src.index() + 1] += 1;
             indeg[f.dst.index()] += 1;
         }
-        let mut queue: Vec<ProcessId> = (0..n as u32)
-            .map(ProcessId)
-            .filter(|p| indeg[p.index()] == 0)
-            .collect();
-        for &p in &queue {
-            level[p.index()] = 1;
+        for p in 0..n {
+            start[p + 1] += start[p];
         }
-        let mut visited = 0usize;
+        let mut fill = start[..n].to_vec();
+        let mut targets = vec![0usize; self.flows.len()];
+        for f in &self.flows {
+            let slot = &mut fill[f.src.index()];
+            targets[*slot] = f.dst.index();
+            *slot += 1;
+        }
+
+        let mut level = vec![0u32; n];
+        let mut queue: Vec<usize> = (0..n).filter(|&p| indeg[p] == 0).collect();
+        for &p in &queue {
+            level[p] = 1;
+        }
         let mut qi = 0usize;
         while qi < queue.len() {
             let p = queue[qi];
             qi += 1;
-            visited += 1;
-            let lp = level[p.index()];
-            for (i, f) in self.flows.iter().enumerate() {
-                let _ = i;
-                if f.src != p {
-                    continue;
-                }
-                let d = f.dst.index();
-                if level[d] < lp + 1 {
-                    level[d] = lp + 1;
-                }
+            let next = level[p] + 1;
+            for &d in &targets[start[p]..start[p + 1]] {
+                level[d] = level[d].max(next);
                 indeg[d] -= 1;
                 if indeg[d] == 0 {
-                    queue.push(f.dst);
+                    queue.push(d);
                 }
             }
         }
-        if visited != n {
-            // A cycle: report the first process involved.
-            let p = (0..n)
-                .find(|&i| indeg[i] > 0)
-                .map(|i| ProcessId(i as u32))
-                .unwrap_or(ProcessId(0));
-            return Err(ModelError::UnknownProcess(p));
+        if queue.len() != n {
+            let p = indeg.iter().position(|&i| i > 0).unwrap_or(0);
+            return Err(ModelError::Cycle(ProcessId(p as u32)));
         }
+        Ok(level)
+    }
+
+    /// Assign ordering numbers by topological wave: sources' flows get
+    /// order 1, flows from processes whose inputs all arrive in waves `< k`
+    /// get order `k`. Returns [`ModelError::Cycle`] (leaving the orders
+    /// untouched) if the graph has a cycle.
+    ///
+    /// Useful for generated applications; the MP3 model carries the paper's
+    /// explicit ordering.
+    pub fn assign_orders_topologically(&mut self) -> Result<(), ModelError> {
+        let level = self.topological_levels()?;
         for f in &mut self.flows {
             f.order = level[f.src.index()];
         }
@@ -632,7 +703,26 @@ mod tests {
         let b = app.add_process(Process::new("B"));
         app.add_flow(Flow::new(a, b, 1, 1, 1)).unwrap();
         app.add_flow(Flow::new(b, a, 1, 2, 1)).unwrap();
-        assert!(app.assign_orders_topologically().is_err());
+        let before = app.clone();
+        assert_eq!(app.assign_orders_topologically(), Err(ModelError::Cycle(a)));
+        assert_eq!(app, before, "a failed assignment leaves the orders alone");
+        assert_eq!(app.topological_levels(), Err(ModelError::Cycle(a)));
+    }
+
+    #[test]
+    fn process_by_name_resolves_duplicates_to_the_first() {
+        let mut app = Application::new("dup");
+        let first = app.add_process(Process::new("X"));
+        let _other = app.add_process(Process::new("Y"));
+        let second = app.add_process(Process::final_("X"));
+        assert_ne!(first, second);
+        assert_eq!(app.process_by_name("X"), Some(first));
+        assert_eq!(app.process_by_name("Y"), Some(ProcessId(1)));
+        // The index is derived data: equality and clones follow the
+        // process list.
+        let copy = app.clone();
+        assert_eq!(copy, app);
+        assert_eq!(copy.process_by_name("X"), Some(first));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::ids::ProcessId;
+use crate::ids::{ProcessId, SegmentId};
 use crate::mapping::Allocation;
 use crate::platform::Platform;
 use crate::psdf::{Application, ProcessKind};
@@ -141,11 +141,13 @@ pub fn validate_platform(platform: &Platform, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Application-only checks (V006–V012).
+/// Application-only checks (V006–V012). O(P + F): one degree pass over
+/// the flows, one topological walk and one name-index probe per process.
 pub fn validate_application(app: &Application, package_size: u32, out: &mut Vec<Diagnostic>) {
-    // V011 — unique names.
+    // V011 — unique names: a process is a repeat when the first-wins name
+    // index resolves its name to an earlier process.
     for (i, p) in app.processes().iter().enumerate() {
-        if app.processes()[..i].iter().any(|q| q.name == p.name) {
+        if app.process_by_name(&p.name) != Some(ProcessId(i as u32)) {
             out.push(Diagnostic::error(
                 Constraint::UniqueNames,
                 format!("process name {:?} is used more than once", p.name),
@@ -155,17 +157,15 @@ pub fn validate_application(app: &Application, package_size: u32, out: &mut Vec<
 
     // V010 — acyclicity (and V008 source existence, which a cyclic graph
     // also violates).
-    let cyclic = {
-        let mut probe = app.clone();
-        probe.assign_orders_topologically().is_err()
-    };
+    let cyclic = app.topological_levels().is_err();
     if cyclic {
         out.push(Diagnostic::error(
             Constraint::Acyclic,
             "the dataflow graph contains a cycle".into(),
         ));
     }
-    if app.process_count() > 0 && app.sources().is_empty() {
+    let degrees = app.degrees();
+    if app.process_count() > 0 && degrees.inputs.iter().all(|&n| n > 0) {
         out.push(Diagnostic::error(
             Constraint::HasSource,
             "no process is a source (every process has inputs)".into(),
@@ -174,12 +174,9 @@ pub fn validate_application(app: &Application, package_size: u32, out: &mut Vec<
 
     // V006 — wave schedule must respect dependencies (skip if cyclic; the
     // cycle diagnostic already covers it).
-    if !cyclic && !app.orders_respect_dependencies() {
+    if !cyclic {
         for f in app.flows() {
-            let bad = app
-                .inputs_of(f.src)
-                .any(|in_id| app.flow(in_id).order >= f.order);
-            if bad {
+            if !degrees.flow_respects_dependencies(f) {
                 out.push(Diagnostic::error(
                     Constraint::OrderRespectsDependencies,
                     format!(
@@ -214,32 +211,26 @@ pub fn validate_application(app: &Application, package_size: u32, out: &mut Vec<
 
     // V009 — kind consistency.
     for (i, p) in app.processes().iter().enumerate() {
-        let id = ProcessId(i as u32);
         match p.kind {
-            ProcessKind::Initial => {
-                if app.inputs_of(id).next().is_some() {
-                    out.push(Diagnostic::warning(
-                        Constraint::KindConsistent,
-                        format!("initial process {} has incoming flows", p.name),
-                    ));
-                }
+            ProcessKind::Initial if degrees.inputs[i] > 0 => {
+                out.push(Diagnostic::warning(
+                    Constraint::KindConsistent,
+                    format!("initial process {} has incoming flows", p.name),
+                ));
             }
-            ProcessKind::Final => {
-                if app.outputs_of(id).next().is_some() {
-                    out.push(Diagnostic::warning(
-                        Constraint::KindConsistent,
-                        format!("final process {} has outgoing flows", p.name),
-                    ));
-                }
+            ProcessKind::Final if degrees.outputs[i] > 0 => {
+                out.push(Diagnostic::warning(
+                    Constraint::KindConsistent,
+                    format!("final process {} has outgoing flows", p.name),
+                ));
             }
-            ProcessKind::Internal => {}
+            _ => {}
         }
     }
 
     // V012 — connectivity.
     for (i, p) in app.processes().iter().enumerate() {
-        let id = ProcessId(i as u32);
-        if app.inputs_of(id).next().is_none() && app.outputs_of(id).next().is_none() {
+        if degrees.inputs[i] == 0 && degrees.outputs[i] == 0 {
             out.push(Diagnostic::warning(
                 Constraint::ProcessConnected,
                 format!("process {} participates in no flow", p.name),
@@ -248,7 +239,7 @@ pub fn validate_application(app: &Application, package_size: u32, out: &mut Vec<
     }
 }
 
-/// Placement checks (V003–V005).
+/// Placement checks (V003–V005). O(P + S).
 pub fn validate_allocation(
     platform: &Platform,
     app: &Application,
@@ -269,12 +260,14 @@ pub fn validate_allocation(
             Some(_) => {}
         }
     }
-    for s in 0..platform.segment_count() as u16 {
-        let s = crate::ids::SegmentId(s);
-        if alloc.count_on(s) == 0 {
+    // `SegmentId` is a `u16`: ids (and this check) wrap past 65,535
+    // segments.
+    let segments = platform.segment_count() as u16 as usize;
+    for (s, &hosted) in alloc.counts(segments).iter().enumerate() {
+        if hosted == 0 {
             out.push(Diagnostic::warning(
                 Constraint::SegmentNonEmpty,
-                format!("{s} hosts no functional unit"),
+                format!("{} hosts no functional unit", SegmentId(s as u16)),
             ));
         }
     }
@@ -283,7 +276,6 @@ pub fn validate_allocation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::SegmentId;
     use crate::psdf::{Flow, Process};
     use crate::time::ClockDomain;
 

@@ -25,12 +25,22 @@
 //! interpreter number (comparable with the file's history) and
 //! `fast_runs_per_sec` is the fast core, both gated by
 //! `scripts/bench_gate.sh`.
+//!
+//! A front-end leg rides along: a 100 × 100 toroidal grid (10,000
+//! processes, ~1.4 MB of DSL) is generated in-process with `grid` +
+//! `to_dsl` — not committed to the corpus — and the median of
+//! [`PASSES`] passes of `parse_source` + `into_psm` + `strict_validate`
+//! is recorded as `parse_mb_per_sec`, gated next to the engine keys. A
+//! quadratic pass anywhere in the front end shows up here as a collapse
+//! of MB/s (to ~1 MB/s on this input).
 
 use std::time::{Duration, Instant};
 
+use segbus_apps::generators::{block_allocation, grid, uniform_platform, GeneratorConfig};
 use segbus_apps::mp3;
 use segbus_core::{
-    EmulatorConfig, EngineKind, EnginePlan, QueueKind, ReferenceEmulator, SweepPool,
+    strict_validate, EmulatorConfig, EngineKind, EnginePlan, QueueKind, ReferenceEmulator,
+    SweepPool,
 };
 use segbus_model::mapping::Psm;
 use segbus_model::time::ClockDomain;
@@ -58,6 +68,40 @@ fn build_psm(size: u32, factor: f64) -> Psm {
         mp3::three_segment_allocation(),
     )
     .expect("valid system")
+}
+
+/// Side of the front-end leg's square toroidal grid.
+const FRONT_END_SIDE: usize = 100;
+
+/// The front-end leg: source bytes and the median wall time of
+/// parse → resolve/validate → strict pre-flight on a generated grid.
+fn front_end_leg() -> (usize, Duration) {
+    let app = grid(
+        FRONT_END_SIDE,
+        FRONT_END_SIDE,
+        GeneratorConfig {
+            items_per_flow: 36,
+            ticks_per_package: 40,
+        },
+    );
+    let alloc = block_allocation(&app, 8);
+    let psm = Psm::new(uniform_platform(8, 36), app, alloc).expect("grid model validates");
+    let source = segbus_dsl::printer::to_dsl(&psm);
+    let cfg = EmulatorConfig::default();
+    let mut times: Vec<Duration> = (0..PASSES)
+        .map(|_| {
+            let t = Instant::now();
+            let parsed = segbus_dsl::parse_source(&source)
+                .and_then(|p| p.into_psm())
+                .expect("generated grid parses");
+            strict_validate(&parsed, 1, &cfg).expect("generated grid passes pre-flight");
+            let elapsed = t.elapsed();
+            assert_eq!(parsed, psm, "front end must reproduce the generated model");
+            elapsed
+        })
+        .collect();
+    times.sort();
+    (source.len(), times[PASSES / 2])
 }
 
 fn main() {
@@ -182,8 +226,16 @@ fn main() {
     println!("  interpreter over baseline: {speedup:.2}x");
     println!("  fast over interpreter:     {fast_speedup:.2}x");
 
+    let (parse_bytes, parse_time) = front_end_leg();
+    let parse_ms = parse_time.as_secs_f64() * 1e3;
+    let parse_mbps = parse_bytes as f64 / 1e6 / parse_time.as_secs_f64();
+    println!(
+        "  front end ({FRONT_END_SIDE}x{FRONT_END_SIDE} grid, parse + validate + pre-flight):"
+    );
+    println!("      {parse_bytes} bytes in {parse_ms:.1} ms = {parse_mbps:.1} MB/s");
+
     let json = format!(
-        "{{\n  \"runs\": {runs},\n  \"total_ms\": {total_ms:.3},\n  \"runs_per_sec\": {runs_per_sec:.1},\n  \"fast_total_ms\": {fast_ms:.3},\n  \"fast_runs_per_sec\": {fast_rps:.1},\n  \"fast_speedup\": {fast_speedup:.2},\n  \"baseline_total_ms\": {baseline_ms:.3},\n  \"baseline_runs_per_sec\": {baseline_rps:.1},\n  \"speedup\": {speedup:.2},\n  \"threads\": {}\n}}\n",
+        "{{\n  \"runs\": {runs},\n  \"total_ms\": {total_ms:.3},\n  \"runs_per_sec\": {runs_per_sec:.1},\n  \"fast_total_ms\": {fast_ms:.3},\n  \"fast_runs_per_sec\": {fast_rps:.1},\n  \"fast_speedup\": {fast_speedup:.2},\n  \"baseline_total_ms\": {baseline_ms:.3},\n  \"baseline_runs_per_sec\": {baseline_rps:.1},\n  \"speedup\": {speedup:.2},\n  \"parse_bytes\": {parse_bytes},\n  \"parse_ms\": {parse_ms:.3},\n  \"parse_mb_per_sec\": {parse_mbps:.1},\n  \"threads\": {}\n}}\n",
         fast_pool.threads()
     );
     std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");

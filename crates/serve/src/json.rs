@@ -230,13 +230,17 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
+                    // Copy the whole run up to the next quote or escape in
+                    // one step. Both stops are ASCII, so the run ends on a
+                    // char boundary of the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }

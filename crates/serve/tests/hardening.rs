@@ -1,14 +1,17 @@
 //! Adversarial-client and fault-injection hardening tests, run against
 //! **both** serve cores wherever the behaviour is part of the shared
 //! contract: slow-loris writers, mid-batch disconnects, shutdown under
-//! load, worker-panic containment, and the event core's global
-//! in-flight cap (`S005` shed with a surviving connection).
+//! load, worker-panic containment, the event core's global in-flight
+//! cap (`S005` shed with a surviving connection), and a maximal model
+//! that must not stall the other connections on its shard.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use segbus_apps::generators::{block_allocation, grid, uniform_platform, GeneratorConfig};
+use segbus_model::mapping::Psm;
 use segbus_serve::json::{self, Json};
 use segbus_serve::{ServeCore, ServeOptions, Server};
 
@@ -279,4 +282,88 @@ fn oversize_line_resyncs_on_both_cores() {
         assert!(is_ok(&v), "core {core:?}: decoder lost sync: {v:?}");
         server.shutdown();
     }
+}
+
+/// The `emulate` line for a `side × side` toroidal grid on 8 segments.
+fn grid_line(id: u64, side: usize) -> String {
+    let app = grid(
+        side,
+        side,
+        GeneratorConfig {
+            items_per_flow: 36,
+            ticks_per_package: 40,
+        },
+    );
+    let alloc = block_allocation(&app, 8);
+    let psm = Psm::new(uniform_platform(8, 36), app, alloc).unwrap();
+    let mut src = String::new();
+    json::write_str(&mut src, &segbus_dsl::printer::to_dsl(&psm));
+    format!("{{\"id\": {id}, \"cmd\": \"emulate\", \"source\": {src}}}")
+}
+
+/// Longest round trip a small request may take while the largest legal
+/// model (a 165 × 165 grid, 27,225 processes) is decoded, parsed and
+/// validated on the same shard. The linear front end stalls the shard
+/// for ~0.16 s in a release build and ~0.75–1.1 s in a debug build
+/// (2-core x86-64 VM); the earlier quadratic front end stalled it for
+/// ~9.6 s in release on the same machine.
+const SHARD_STALL_BOUND: Duration = Duration::from_secs(6);
+
+/// One shard, two connections: the first sends the largest square grid
+/// whose request line fits the default 4 MiB line cap, the second keeps
+/// making small round trips until the grid's answer arrives. Every small
+/// round trip — including the ones queued behind the grid's parse on the
+/// shard thread — must finish within [`SHARD_STALL_BOUND`].
+#[test]
+fn maximal_model_does_not_stall_its_shard() {
+    let cap = ServeOptions::default().max_line_bytes;
+    // Size the grid from a small one (bytes grow with side²), then step
+    // down until the line fits; the estimate overshoots, so the last
+    // rejected side proves the one kept is the largest.
+    let probe = grid_line(1, 40).len() as f64;
+    let mut side = (40.0 * (cap as f64 / probe).sqrt()) as usize + 2;
+    let mut big = grid_line(1, side);
+    let mut rejected = false;
+    while big.len() > cap {
+        side -= 1;
+        big = grid_line(1, side);
+        rejected = true;
+    }
+    assert!(rejected, "the size estimate must overshoot the cap");
+
+    let mut server = start(ServeCore::EventLoop, |o| o.shards = 1);
+    let addr = server.addr();
+    let mut small = TcpStream::connect(addr).unwrap();
+    assert!(is_ok(&request(&mut small, &emulate_line(100, 1))));
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let sender = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(big.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let v = read_response(&mut stream);
+        done_tx.send(()).unwrap();
+        v
+    });
+
+    let mut worst = Duration::ZERO;
+    let mut trips = 0u64;
+    while done_rx.try_recv().is_err() {
+        let t = Instant::now();
+        let v = request(&mut small, &emulate_line(200 + trips, 1 + trips % 4));
+        worst = worst.max(t.elapsed());
+        trips += 1;
+        assert!(is_ok(&v), "small request failed: {v:?}");
+    }
+    let v = sender.join().unwrap();
+    assert!(is_ok(&v), "the {side}x{side} grid must be served: {v:?}");
+    eprintln!(
+        "{side}x{side} grid ({} processes): worst small round trip {worst:?} over {trips} trips",
+        side * side
+    );
+    assert!(
+        worst <= SHARD_STALL_BOUND,
+        "a small request waited {worst:?} behind the {side}x{side} grid (bound {SHARD_STALL_BOUND:?})"
+    );
+    server.shutdown();
 }

@@ -332,6 +332,20 @@ mod tests {
     }
 
     #[test]
+    fn large_grid_round_trips_through_xml() {
+        use segbus_apps::generators::{block_allocation, grid, uniform_platform, GeneratorConfig};
+        // 1,600 processes, 3,120 flows: the scheme emitter groups flows by
+        // source in one pass and the importer resolves names through the
+        // application's index, so this stays fast even in debug builds.
+        let app = grid(40, 40, GeneratorConfig::default());
+        let alloc = block_allocation(&app, 8);
+        let psm = Psm::new(uniform_platform(8, 36), app, alloc).unwrap();
+        let psdf_doc = parse(&export_psdf(psm.application()).to_xml_string()).unwrap();
+        let psm_doc = parse(&export_psm(&psm).to_xml_string()).unwrap();
+        assert_eq!(import_system(&psdf_doc, &psm_doc).unwrap(), psm);
+    }
+
+    #[test]
     fn missing_attributes_are_reported() {
         let doc = parse("<xs:schema name=\"x\"><xs:complexType/></xs:schema>").unwrap();
         let e = import_psdf(&doc).unwrap_err();

@@ -16,7 +16,7 @@
 //! attributes (`periodPs`, `packageSize`, `costModel`, …) so that the
 //! round-trip through [`crate::import`] is lossless.
 
-use segbus_model::ids::SegmentId;
+use segbus_model::ids::{FlowId, SegmentId};
 use segbus_model::mapping::Psm;
 use segbus_model::psdf::{Application, CostModel, ProcessKind};
 
@@ -44,8 +44,13 @@ pub fn export_psdf(app: &Application) -> XmlDocument {
             .attr("costBase", base_ticks.to_string())
             .attr("costReference", reference_package_size.to_string()),
     };
-    for (i, p) in app.processes().iter().enumerate() {
-        let pid = segbus_model::ids::ProcessId(i as u32);
+    // Each process's outgoing flows, in flow order: one pass over the
+    // flows instead of one scan per process.
+    let mut outputs: Vec<Vec<FlowId>> = vec![Vec::new(); app.process_count()];
+    for (i, f) in app.flows().iter().enumerate() {
+        outputs[f.src.index()].push(FlowId(i as u32));
+    }
+    for (p, out) in app.processes().iter().zip(&outputs) {
         let kind = match p.kind {
             ProcessKind::Initial => "initial",
             ProcessKind::Internal => "process",
@@ -55,8 +60,7 @@ pub fn export_psdf(app: &Application) -> XmlDocument {
             .attr("name", p.name.clone())
             .attr("kind", kind);
         let mut all = XmlElement::new("xs:all");
-        let mut any = false;
-        for fid in app.outputs_of(pid) {
+        for &fid in out {
             let f = app.flow(fid);
             let dst = &app.process(f.dst).name;
             // `seq` preserves the global flow order across the grouping by
@@ -76,9 +80,8 @@ pub fn export_psdf(app: &Application) -> XmlDocument {
                 }
             }
             all = all.child(fel);
-            any = true;
         }
-        if any {
+        if !out.is_empty() {
             ct = ct.child(all);
         }
         schema = schema.child(ct);
@@ -131,7 +134,8 @@ pub fn export_psm(psm: &Psm) -> XmlDocument {
     );
 
     // Segments with their FUs, arbiter and BU interfaces.
-    for i in 0..platform.segment_count() {
+    let hosted = psm.allocation().groups(platform.segment_count());
+    for (i, group) in hosted.iter().enumerate() {
         let seg = SegmentId(i as u16);
         let mut all = XmlElement::new("xs:all");
         // BU interfaces: the unit on which this segment is the left
@@ -155,7 +159,7 @@ pub fn export_psm(psm: &Psm) -> XmlDocument {
                 );
             }
         }
-        for p in psm.allocation().processes_on(seg) {
+        for &p in group {
             let name = &app.process(p).name;
             all = all.child(
                 XmlElement::new("xs:element")

@@ -14,7 +14,9 @@
 # Gated benchmarks:
 #   exp_perf       -> BENCH_engine.json   P1 engine throughput
 #                     (interpreter `runs_per_sec` + fast-core
-#                      `fast_runs_per_sec`)
+#                      `fast_runs_per_sec`), plus the front-end leg's
+#                     `parse_mb_per_sec`: parse + validate + pre-flight
+#                     of a generated 10,000-process grid
 #   exp_place_perf -> BENCH_place.json    P5 parallel placement search
 #                     (`runs_per_sec`, plus the P10 incremental-portfolio
 #                      leg: `place_moves_per_sec` throughput on the
@@ -286,7 +288,8 @@ gate() {
     echo "bench gate [$title]: OK"
 }
 
-gate BENCH_engine.json exp_perf "Engine throughput" runs_per_sec fast_runs_per_sec || fails=1
+gate BENCH_engine.json exp_perf "Engine throughput" \
+    runs_per_sec fast_runs_per_sec parse_mb_per_sec || fails=1
 gate BENCH_place.json exp_place_perf "Placement search throughput" \
     runs_per_sec place_moves_per_sec grid_speedup || fails=1
 gate BENCH_serve.json exp_serve_perf "Serve tier throughput" serve_reqs_per_sec max:serve_p99_us || fails=1
