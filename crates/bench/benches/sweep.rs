@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use segbus_apps::generators::{self, GeneratorConfig};
-use segbus_core::{Emulator, EmulatorConfig, Engine, QueueKind, SweepPool};
+use segbus_core::{Emulator, EmulatorConfig, Engine, SweepPool};
 use segbus_model::mapping::Psm;
 use segbus_model::platform::Platform;
 use segbus_model::time::ClockDomain;
@@ -51,18 +51,6 @@ fn bench_sweep(c: &mut Criterion) {
     });
     g.bench_function("engine_reuse_seq", |b| {
         let mut engine = Engine::new(EmulatorConfig::default());
-        b.iter(|| {
-            jobs.iter()
-                .map(|p| engine.run(p).makespan)
-                .collect::<Vec<_>>()
-        })
-    });
-    g.bench_function("engine_reuse_heap_queue", |b| {
-        let cfg = EmulatorConfig {
-            queue: QueueKind::BinaryHeap,
-            ..EmulatorConfig::default()
-        };
-        let mut engine = Engine::new(cfg);
         b.iter(|| {
             jobs.iter()
                 .map(|p| engine.run(p).makespan)

@@ -68,11 +68,9 @@ fn absorb_config(h: &mut Fnv64, config: &EmulatorConfig) {
         ArbitrationPolicy::FairRoundRobin => 2,
     });
     h.write_u8(config.trace as u8);
-    // The queue kind and the engine kind are deliberately *excluded*:
-    // every implementation pair is differential-tested bit-identical, so
-    // reports may be shared across them — an entry written by the
-    // interpreter answers for the fast core and vice versa. (DESIGN.md
-    // §10 and §12 document this as part of the cache contract.)
+    // Nothing else enters the key: the encoding above is frozen, and
+    // `job_digest_values_are_pinned` holds it by value, so persisted
+    // stores written by earlier builds stay warm (DESIGN.md §10).
 }
 
 /// The cache key of one emulation job: `Psm::digest` + config + frames.
@@ -501,7 +499,6 @@ impl CachedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::QueueKind;
     use segbus_model::ids::SegmentId;
     use segbus_model::mapping::Allocation;
     use segbus_model::platform::Platform;
@@ -598,19 +595,50 @@ mod tests {
             ..base
         };
         assert_ne!(d, job_digest(&m, &fire, 1), "release policy is semantic");
-        // The queue kind is NOT semantic: both engines are bit-identical.
-        let heap = EmulatorConfig {
-            queue: QueueKind::BinaryHeap,
-            ..base
-        };
-        assert_eq!(d, job_digest(&m, &heap, 1), "queue kind shares entries");
-        // Neither is the engine kind: the fast core and the interpreter
-        // produce the same report, so their cache entries interchange.
-        let interp = EmulatorConfig {
-            engine: crate::EngineKind::Interpreter,
-            ..base
-        };
-        assert_eq!(d, job_digest(&m, &interp, 1), "engine kind shares entries");
+    }
+
+    /// Cache keys pinned by value: `--cache-dir` stores (`reports.sbc`)
+    /// written by earlier builds stay warm only while these numbers hold.
+    /// A change here invalidates every persisted store; make it only
+    /// together with a deliberate cache-format change.
+    #[test]
+    fn job_digest_values_are_pinned() {
+        let m = segbus_apps::mp3::three_segment_psm();
+        let configs = [
+            ("default", EmulatorConfig::default()),
+            ("detailed", EmulatorConfig::detailed()),
+            (
+                "fair",
+                EmulatorConfig {
+                    arbitration: ArbitrationPolicy::FairRoundRobin,
+                    ..EmulatorConfig::default()
+                },
+            ),
+            (
+                "local",
+                EmulatorConfig {
+                    producer_release: ProducerRelease::AfterLocalPhase,
+                    ..EmulatorConfig::default()
+                },
+            ),
+        ];
+        let expected: [(&str, u64, u64); 8] = [
+            ("default", 1, 0xcba9cb4cf5edcf75),
+            ("default", 3, 0x099f595f0bcc63b7),
+            ("detailed", 1, 0x97a3c6679e672086),
+            ("detailed", 3, 0x59ae385588888c44),
+            ("fair", 1, 0xbfd1e38aa4e3912b),
+            ("fair", 3, 0x81dc55788f04fce9),
+            ("local", 1, 0xbf456455ae76eea8),
+            ("local", 3, 0xfd3af267c45582ea),
+        ];
+        let mut actual = Vec::new();
+        for (name, config) in configs {
+            for frames in [1u64, 3] {
+                actual.push((name, frames, job_digest(&m, &config, frames)));
+            }
+        }
+        assert_eq!(actual, expected);
     }
 
     #[test]

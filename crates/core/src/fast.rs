@@ -1,25 +1,29 @@
-//! The specialised engine core: the interpreter's semantics with the
-//! per-event dynamic dispatch compiled out.
+//! The engine core: the emulator's event semantics with the per-event
+//! dynamic dispatch compiled out.
 //!
-//! [`crate::engine`]'s event loop pays, on every popped event, for
-//! decisions that are invariant over a whole run: which arbitration
-//! policy picks the next local request, which release policy frees a
-//! producer, whether a trace is being recorded, and which event-queue
-//! implementation backs `push`/`pop`. This module removes all four, and
-//! then removes events and arithmetic the interpreter performs
-//! redundantly:
+//! The design below is stated against the *plain event loop*: one event
+//! per protocol step (compute done, SA dispatch, CA arrival, CA
+//! dispatch, intra-segment done, hop done), held in a priority queue and
+//! popped by `(time, insertion sequence)`, with every policy decision
+//! taken per event. [`crate::ReferenceEmulator`] is that loop. Such a
+//! loop pays, on every popped event, for decisions that are invariant
+//! over a whole run: which arbitration policy picks the next local
+//! request, which release policy frees a producer, whether a trace is
+//! being recorded, and how the event queue is implemented. This module
+//! removes all four, and then removes events and arithmetic the plain
+//! loop performs redundantly:
 //!
 //! * **Monomorphisation** — the run loop is generic over
 //!   `<A: Arbitration, R: Release, const TRACED: bool>` and instantiated
-//!   once per `(ArbitrationPolicy, ProducerRelease)` pair by [`run_fast`]'s
-//!   (untraced) and [`run_fast_traced`]'s dispatch `match`es, so policy
+//!   once per `(ArbitrationPolicy, ProducerRelease, traced)` triple by
+//!   [`run_fast`]'s dispatch `match`es, so policy
 //!   checks become compile-time constants and the arbiter's pick loop
 //!   inlines into the dispatch handler.
 //! * **Monomorphised tracing** — every trace hook sits behind
 //!   `if TRACED`, so the untraced instantiations compile the plumbing
 //!   out entirely (no `Option` checks, no side tables touched) and stay
-//!   benchmark-neutral, while the traced instantiations emit the
-//!   interpreter's [`crate::TraceEvent`] stream event for event into any
+//!   benchmark-neutral, while the traced instantiations emit every
+//!   [`crate::TraceEvent`] of the run, in a deterministic order, into any
 //!   [`TraceSink`] (an in-memory [`crate::TraceLog`], a streaming
 //!   [`crate::sbt::SbtWriter`], …). Tracing needs the frame-global
 //!   package index the fast core otherwise elides (see "No package
@@ -31,9 +35,9 @@
 //!   (`tr_pkg`). Burst stepping is
 //!   disabled under `TRACED` (it elides the serve/deliver events
 //!   wholesale); every other elision drops only events whose handlers
-//!   emit nothing, so the surviving emission order is the
-//!   interpreter's — the differential test below checks equality event
-//!   for event across the policy matrix.
+//!   emit nothing, so the emission order is the plain loop's (with FIFO
+//!   dispatch inlined, see `Arbitration::FIFO`), pinned by
+//!   `tests/trace_order_golden.rs`.
 //! * **Flat SoA scratch** — producer state (`pending`/`rr`/`busy`) and
 //!   process bookkeeping (`remaining out`/`in`) are parallel arrays
 //!   indexed by the [`EnginePlan`]'s dense ids instead of arrays of
@@ -51,14 +55,14 @@
 //! * **Sorted event ring** — pending events live in a vector sorted by
 //!   descending timestamp, so popping the minimum is `Vec::pop`.
 //!   Insertion binary-searches to the *leftmost* slot among equal
-//!   timestamps, which makes position encode the interpreter's sequence
+//!   timestamps, which makes position encode the plain loop's sequence
 //!   numbers: among simultaneous events the earliest-scheduled sits
 //!   rightmost and pops first. The in-flight population is bounded by
 //!   `O(processes + segments)` (package-level flow control keeps at most
 //!   one compute/transfer event per producer), so the insertion memmove
 //!   stays within a few cache lines.
 //! * **Fused serve chains** — when a serve leaves the local queue
-//!   non-empty, the interpreter schedules a follow-up dispatch at the
+//!   non-empty, the plain loop schedules a follow-up dispatch at the
 //!   transaction end: an event at the same `(time, seq)` neighbourhood
 //!   as the `IntraDone` it just scheduled. Because the two carry
 //!   consecutive sequence numbers, no third event can pop between them,
@@ -67,7 +71,7 @@
 //!   instead of two.
 //! * **Dispatch dedup** — a dispatch attempt that finds the bus busy
 //!   re-schedules itself at `bus_free`; under sustained contention the
-//!   interpreter accumulates *parasite* retries (each pops, finds the
+//!   plain loop accumulates *parasite* retries (each pops, finds the
 //!   bus claimed again by the serve chain, and re-propagates until the
 //!   queue drains). A retry/chain is a no-op or a propagation unless it
 //!   is the first dispatch to pop at its timestamp, so the fast core
@@ -92,31 +96,38 @@
 //!   be inserted at or before its timestamp (dispatch dedup markers
 //!   always back already-queued events). The fast core detects this at
 //!   schedule time and runs the handler inline, skipping the round-trip.
-//! * **No package indices** — the interpreter threads a global package
+//! * **No package indices** — the plain loop threads a global package
 //!   index through every event only to divide it back into a frame
 //!   number at delivery. The frame is already known when the package is
 //!   picked from the producer's pending list, so the fast core carries
 //!   the frame itself (29 bits of the packed event) and the per-package
 //!   division disappears.
 //! * **Batch frame stepping** — multi-frame runs arm frame 0 exactly like
-//!   the interpreter (the first package picks must see frame 0's pending
+//!   the plain loop (the first package picks must see frame 0's pending
 //!   entries only), then collapse the arming passes of frames 1.. into
 //!   plain pending appends. This is provably order-identical: all frames
 //!   arm at `t = 0` before any event pops, and after frame 0's kick every
-//!   wave-0 producer is busy, so the interpreter's later kick scans are
+//!   wave-0 producer is busy, so the plain loop's later kick scans are
 //!   no-ops (the batch falls back to per-frame arming in the degenerate
 //!   empty-first-wave case, where completing the instance cascades into
 //!   later waves).
 //!
 //! **Bit-identity contract.** For every PSM, frame count and
 //! configuration, the fast core produces an [`EmulationReport`] equal to
-//! the interpreter's field for field. Every surviving event is scheduled
-//! in the same program order (so tie-breaks coincide), every elided
+//! [`crate::ReferenceEmulator`]'s, field for field. Traced runs record
+//! the same events as the reference: equal as a multiset per instant
+//! (sorted by the canonical key, [`crate::TraceEvent`]'s `Ord`). Their
+//! *emission order* is the golden order: deterministic, and pinned per
+//! scenario by `tests/trace_order_golden.rs`. It can differ from the
+//! reference's inside one instant under FIFO arbitration, where the fast
+//! core dispatches inline. Every surviving event is scheduled in the
+//! plain loop's program order (so tie-breaks coincide), every elided
 //! event is one whose handler could not have changed state, and every
-//! timestamp is computed by the same strength-reduced arithmetic
-//! ([`crate::engine::FastClock`]). The differential tests below and the
-//! fuzz harness arm in `tests/fuzz_differential.rs` enforce the contract
-//! across all arbitration × release modes.
+//! timestamp is computed by exact strength-reduced arithmetic
+//! ([`crate::engine::FastClock`]). The tests below,
+//! `tests/trace_differential.rs` and the fuzz harness in
+//! `tests/fuzz_differential.rs` enforce the contract across all
+//! arbitration × release modes.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -126,7 +137,7 @@ use segbus_model::time::Picos;
 
 use crate::config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease};
 use crate::counters::{BuCounters, CaCounters, FuTimes, SaCounters};
-use crate::engine::{EnginePlan, NO_PATH};
+use crate::plan::{EnginePlan, NO_PATH};
 use crate::report::EmulationReport;
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 
@@ -134,13 +145,21 @@ use crate::trace::{TraceEvent, TraceKind, TraceSink};
 // compile-time policies
 
 /// Local-bus arbitration, resolved at monomorphisation time. `pick`
-/// mirrors the interpreter's `min_by_key` selections exactly: the keys
+/// mirrors the reference's `min_by_key` selections exactly: the keys
 /// below are made unambiguous by the queue index tie-break, and the scan
 /// keeps the earliest index among equal primary keys.
 trait Arbitration {
     /// `true` exactly for [`ArbitrationPolicy::Fifo`]: a dispatch attempt
-    /// landing on the current clock edge may run inline (see the
-    /// interpreter's `on_compute_done` for the argument).
+    /// landing on the current clock edge may run inline. Computation ends
+    /// on a segment-clock edge, so the attempt would land at exactly
+    /// `now` and, freshly scheduled, pop after every event already
+    /// pending at this instant. Under FIFO the serve order and serve
+    /// times are a function of arrival order and bus availability alone
+    /// (an attempt that finds the bus busy, the segment reserved or the
+    /// queue empty touches no state and is re-triggered by the blocking
+    /// event), so running it inline is report-identical; it moves only
+    /// the same-instant emission order. Priority policies pick by queue
+    /// *content* at dispatch time and keep the event.
     const FIFO: bool;
     /// Index of the request to serve next (queue is non-empty).
     fn pick(queue: &VecDeque<LocalReq>, flow_src: &[ProcessId], served: &[u64]) -> usize;
@@ -210,7 +229,7 @@ impl Release for RelLocal {
 // ---------------------------------------------------------------------------
 // events and scratch
 
-/// The interpreter's event alphabet, hand-packed into one `u64` so a
+/// The plain loop's event alphabet, hand-packed into one `u64` so a
 /// queue entry is exactly 16 bytes: tag in bits 0..3, a 32-bit field in
 /// bits 3..35 (flow / segment / request id) and a 29-bit field in bits
 /// 35..64 (`frame << 1 | chain` for `IntraDone`, the hop for
@@ -274,7 +293,7 @@ struct InterTransfer {
 }
 
 /// Every mutable array of a fast-core run, kept allocated between runs
-/// (same reuse contract as the interpreter's scratch). Producer and
+/// (the [`crate::Engine`] reuse contract). Producer and
 /// process state is stored as parallel columns indexed by the plan's
 /// dense ids; the `*_ps` tables are the precomputed per-flow/per-segment
 /// picosecond slices described in the module docs.
@@ -417,8 +436,8 @@ impl FastScratch {
         self.makespan = Picos::ZERO;
 
         // Precomputed schedule slices: every run-invariant ticks × period
-        // product, evaluated by the exact multiply the interpreter's
-        // `FastClock::ticks_to_picos` would perform per event.
+        // product, evaluated by the exact `ticks × period` multiply a
+        // per-event `ClockDomain::ticks_to_picos` would perform.
         self.flow_compute_ps.clear();
         for i in 0..plan.flow_src.len() {
             let seg = plan.proc_seg[plan.flow_src[i].index()];
@@ -440,16 +459,22 @@ impl FastScratch {
 // entry point
 
 /// Execute `plan` on the fast core. Dispatches once over the
-/// arbitration × release matrix to the matching monomorphised loop; the
-/// report is bit-identical to the interpreter's.
+/// arbitration × release matrix (and on whether a trace `sink` is
+/// given) to the matching monomorphised loop; the report is
+/// bit-identical to [`crate::ReferenceEmulator`]'s. With a sink, the
+/// traced instantiations stream the golden event sequence (module docs)
+/// into it as the run executes; `out.trace` stays `None` either way —
+/// the events went to the sink, which may be an in-memory
+/// [`crate::TraceLog`] or a streaming [`crate::sbt::SbtWriter`].
 ///
 /// # Panics
-/// Panics if `frames` is zero (same contract as the interpreter).
+/// Panics if `frames` is zero (same contract as the reference).
 pub(crate) fn run_fast(
     plan: &EnginePlan,
     sc: &mut FastScratch,
     cfg: &EmulatorConfig,
     frames: u64,
+    sink: Option<&mut dyn TraceSink>,
     out: &mut EmulationReport,
 ) {
     assert!(frames > 0, "at least one frame");
@@ -457,72 +482,40 @@ pub(crate) fn run_fast(
         frames <= MAX_FRAMES,
         "frame count exceeds the packed-event range"
     );
-    use ArbitrationPolicy as A;
-    use ProducerRelease as R;
-    match (cfg.arbitration, cfg.producer_release) {
-        (A::Fifo, R::AfterDelivery) => {
-            run_mono::<FifoArb, RelDelivery, false>(plan, sc, cfg, frames, None, out)
-        }
-        (A::Fifo, R::AfterLocalPhase) => {
-            run_mono::<FifoArb, RelLocal, false>(plan, sc, cfg, frames, None, out)
-        }
-        (A::FixedPriority, R::AfterDelivery) => {
-            run_mono::<PriorityArb, RelDelivery, false>(plan, sc, cfg, frames, None, out)
-        }
-        (A::FixedPriority, R::AfterLocalPhase) => {
-            run_mono::<PriorityArb, RelLocal, false>(plan, sc, cfg, frames, None, out)
-        }
-        (A::FairRoundRobin, R::AfterDelivery) => {
-            run_mono::<FairArb, RelDelivery, false>(plan, sc, cfg, frames, None, out)
-        }
-        (A::FairRoundRobin, R::AfterLocalPhase) => {
-            run_mono::<FairArb, RelLocal, false>(plan, sc, cfg, frames, None, out)
-        }
+    match sink {
+        None => dispatch::<false>(plan, sc, cfg, frames, None, out),
+        Some(sink) => dispatch::<true>(plan, sc, cfg, frames, Some(sink), out),
     }
 }
 
-/// [`run_fast`] with trace emission: the traced instantiations stream
-/// the interpreter's exact event sequence into `sink` as the run
-/// executes. The report is bit-identical to [`run_fast`]'s (and the
-/// interpreter's); `report.trace` stays `None` — the events went to the
-/// sink, which may be an in-memory [`crate::TraceLog`] or a streaming
-/// [`crate::sbt::SbtWriter`].
-///
-/// # Panics
-/// Panics if `frames` is zero (same contract as the interpreter).
-pub(crate) fn run_fast_traced(
-    plan: &EnginePlan,
-    sc: &mut FastScratch,
+fn dispatch<'r, const TRACED: bool>(
+    plan: &'r EnginePlan,
+    sc: &'r mut FastScratch,
     cfg: &EmulatorConfig,
     frames: u64,
-    sink: &mut dyn TraceSink,
+    sink: Option<&'r mut dyn TraceSink>,
     out: &mut EmulationReport,
 ) {
-    assert!(frames > 0, "at least one frame");
-    assert!(
-        frames <= MAX_FRAMES,
-        "frame count exceeds the packed-event range"
-    );
     use ArbitrationPolicy as A;
     use ProducerRelease as R;
     match (cfg.arbitration, cfg.producer_release) {
         (A::Fifo, R::AfterDelivery) => {
-            run_mono::<FifoArb, RelDelivery, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<FifoArb, RelDelivery, TRACED>(plan, sc, cfg, frames, sink, out)
         }
         (A::Fifo, R::AfterLocalPhase) => {
-            run_mono::<FifoArb, RelLocal, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<FifoArb, RelLocal, TRACED>(plan, sc, cfg, frames, sink, out)
         }
         (A::FixedPriority, R::AfterDelivery) => {
-            run_mono::<PriorityArb, RelDelivery, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<PriorityArb, RelDelivery, TRACED>(plan, sc, cfg, frames, sink, out)
         }
         (A::FixedPriority, R::AfterLocalPhase) => {
-            run_mono::<PriorityArb, RelLocal, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<PriorityArb, RelLocal, TRACED>(plan, sc, cfg, frames, sink, out)
         }
         (A::FairRoundRobin, R::AfterDelivery) => {
-            run_mono::<FairArb, RelDelivery, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<FairArb, RelDelivery, TRACED>(plan, sc, cfg, frames, sink, out)
         }
         (A::FairRoundRobin, R::AfterLocalPhase) => {
-            run_mono::<FairArb, RelLocal, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<FairArb, RelLocal, TRACED>(plan, sc, cfg, frames, sink, out)
         }
     }
 }
@@ -583,7 +576,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
 
     /// Insert at the leftmost slot among equal timestamps: among
     /// simultaneous events the earliest-scheduled sits rightmost and
-    /// [`Self::pop`] takes it first, which reproduces the interpreter's
+    /// [`Self::pop`] takes it first, which reproduces the plain loop's
     /// `(time, seq)` order without materialising sequence numbers.
     #[inline(always)]
     fn schedule(&mut self, at: Picos, ev: u64) {
@@ -637,17 +630,17 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
         let plan = self.plan;
         if plan.waves[0].is_empty() {
             // An empty first wave completes immediately and cascades into
-            // later waves per frame; keep the interpreter's literal order.
+            // later waves per frame; keep the plain loop's literal order.
             for frame in 0..self.frames {
                 self.start_instance(frame as usize * plan.waves.len(), Picos::ZERO);
             }
             return;
         }
-        // Frame 0 arms and kicks exactly like the interpreter — the first
+        // Frame 0 arms and kicks exactly like the plain loop — the first
         // package picks (and their round-robin cursor updates) must see
         // frame 0's pending entries only.
         self.start_instance(0, Picos::ZERO);
-        // Every wave-0 producer is now busy, so the interpreter's kick
+        // Every wave-0 producer is now busy, so the plain loop's kick
         // scans for frames 1.. are no-ops; batch the remaining arming
         // passes into plain pending appends. No event has popped yet, so
         // the appends land before any further pick, as they do there.
@@ -700,7 +693,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
     }
 
     /// Round-robin pick of the producer's next package, with the
-    /// interpreter's exact cursor updates, and account its compute
+    /// plain loop's exact cursor updates, and account its compute
     /// ticks. Returns `None` when nothing is pending.
     #[inline]
     fn pick_package(&mut self, pi: usize) -> Option<(FlowId, u32)> {
@@ -713,7 +706,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
         let idx = if rr < len { rr } else { rr % len };
         let (flow, remaining, frame) = pending[idx];
         if TRACED {
-            // Reconstruct the interpreter's frame-global package index
+            // Reconstruct the frame-global package index
             // from the pre-decrement remaining count; one compute is in
             // flight per producer, so a single slot suffices.
             let pkgs = self.plan.flow_pkgs[flow.index()];
@@ -804,7 +797,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
                 self.sc.sa_pkg[si].push_back(pkg);
             }
             // Compute ends on an edge of the producer's own segment
-            // clock, so the interpreter's `next_edge(now)` is `now` and
+            // clock, so the plain loop's `next_edge(now)` is `now` and
             // the FIFO inline-dispatch condition always holds.
             debug_assert_eq!(plan.fast_seg[si].next_edge(now), now);
             if A::FIFO {
@@ -833,7 +826,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
     /// is local and no delivery completes its wave instance. Under
     /// those conditions the compute → serve → deliver cycle is fully
     /// determined — every implied timestamp is a multiple of the
-    /// segment period, so the interpreter's per-cycle `next_edge` calls
+    /// segment period, so the plain loop's per-cycle `next_edge` calls
     /// are all fixed points — and the burst steps packages in a tight
     /// loop with no event traffic at all: identical counter deltas,
     /// identical timestamps, identical round-robin picks. The real
@@ -898,7 +891,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
             fu.end = Some(e);
             self.sc.remaining_out[pi] -= 1;
             self.maybe_raise_flag(e, src);
-            // Pick the next package with the interpreter's round-robin.
+            // Pick the next package with the plain loop's round-robin.
             match self.pick_package(pi) {
                 None => {
                     self.sc.prod_busy[pi] = false;
@@ -1136,7 +1129,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
             self.request_ca_dispatch(self.plan.fast_ca.next_edge(now));
         }
         if chain {
-            // The fused serve chain: in the interpreter this is a
+            // The fused serve chain: in the plain loop this is a
             // dispatch event with the sequence number right after this
             // IntraDone's, so nothing can pop in between and running it
             // here is order-identical.
@@ -1288,9 +1281,8 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
             sa.tct = plan.seg_clock[i].ticks_covering(sa.last_activity);
         }
         self.sc.ca.tct = plan.ca_clock.ticks_covering(self.sc.makespan);
-        // clone_from reuses the output report's allocations (see the
-        // interpreter's execute_into); the result is bit-identical to a
-        // freshly assembled report.
+        // clone_from reuses the output report's allocations; a fresh
+        // (empty) report degrades to plain clones.
         out.sas.clone_from(&self.sc.sas);
         out.ca = self.sc.ca;
         out.bus.clone_from(&self.sc.bus_ctr);
@@ -1308,38 +1300,32 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EngineKind;
     use crate::engine::Engine;
+    use crate::reference::ReferenceEmulator;
     use segbus_model::mapping::{Allocation, Psm};
     use segbus_model::platform::Platform;
     use segbus_model::psdf::{Application, Flow, Process};
     use segbus_model::time::ClockDomain;
 
-    fn interpreter(cfg: EmulatorConfig) -> Engine {
-        Engine::new(EmulatorConfig {
-            engine: EngineKind::Interpreter,
-            ..cfg
-        })
-    }
-
-    fn fast(cfg: EmulatorConfig) -> Engine {
-        Engine::new(EmulatorConfig {
-            engine: EngineKind::Fast,
-            ..cfg
-        })
-    }
-
+    /// Whole-report equality with the oracle (untraced runs).
     fn assert_identical(psm: &Psm, frames: u64, cfg: EmulatorConfig, label: &str) {
-        let a = interpreter(cfg).run_frames(psm, frames);
-        let b = fast(cfg).run_frames(psm, frames);
-        assert_eq!(a.makespan, b.makespan, "{label}: makespan");
-        assert_eq!(a.sas, b.sas, "{label}: sas");
-        assert_eq!(a.ca, b.ca, "{label}: ca");
-        assert_eq!(a.bus, b.bus, "{label}: bus");
-        assert_eq!(a.fus, b.fus, "{label}: fus");
-        assert_eq!(a.bu_refs, b.bu_refs, "{label}: bu_refs");
-        assert_eq!(a.segment_clocks, b.segment_clocks, "{label}: clocks");
-        assert_eq!(a.makespan, b.makespan, "{label}: makespan");
+        let r = ReferenceEmulator::new(cfg).run_frames(psm, frames);
+        let f = Engine::new(cfg).run_frames(psm, frames);
+        assert_eq!(f, r, "{label}");
+    }
+
+    /// Traced runs: the reports minus their traces are equal, and the
+    /// traces are equal as per-instant multisets (sorted by the canonical
+    /// key, `TraceEvent`'s `Ord`).
+    fn assert_identical_traced(psm: &Psm, frames: u64, cfg: EmulatorConfig, label: &str) {
+        let mut r = ReferenceEmulator::new(cfg).run_frames(psm, frames);
+        let mut f = Engine::new(cfg).run_frames(psm, frames);
+        let mut tr = r.trace.take().expect("reference trace").events().to_vec();
+        let mut tf = f.trace.take().expect("fast trace").events().to_vec();
+        assert_eq!(f, r, "{label}: report");
+        tr.sort_unstable();
+        tf.sort_unstable();
+        assert_eq!(tf, tr, "{label}: trace multiset");
     }
 
     /// Mixed-shape PSM zoo: local + inter-segment + multi-wave +
@@ -1455,28 +1441,24 @@ mod tests {
         }
     }
 
-    /// A reused engine alternating cores and shapes must not leak state.
+    /// A reused engine alternating shapes must not leak state.
     #[test]
     fn fast_scratch_reuse_is_bit_identical() {
         let mut engine = Engine::new(EmulatorConfig::default());
         for psm in shapes().iter().chain(shapes().iter().rev()) {
-            let fresh = interpreter(EmulatorConfig::default()).run(psm);
-            let reused = engine.run(psm);
-            assert_eq!(fresh.makespan, reused.makespan);
-            assert_eq!(fresh.sas, reused.sas);
-            assert_eq!(fresh.ca, reused.ca);
-            assert_eq!(fresh.bus, reused.bus);
-            assert_eq!(fresh.fus, reused.fus);
+            let fresh = ReferenceEmulator::default().run(psm);
+            assert_eq!(engine.run(psm), fresh);
         }
     }
 
-    /// The traced fast instantiations reproduce the interpreter's trace
-    /// **event for event** — same kinds, same timestamps, same
-    /// flow/package/process/segment payloads, same emission order —
-    /// across every shape, the full policy matrix, and multi-frame runs;
-    /// the reports stay bit-identical at the same time.
+    /// The traced fast instantiations record the oracle's events — same
+    /// kinds, timestamps and flow/package/process/segment payloads, as a
+    /// multiset per instant — across every shape, the full policy
+    /// matrix and multi-frame runs, with equal reports. (Emission order
+    /// within an instant is pinned separately by
+    /// `tests/trace_order_golden.rs`.)
     #[test]
-    fn traced_fast_core_matches_interpreter_event_for_event() {
+    fn traced_fast_core_matches_reference_per_instant() {
         let arbs = [
             ArbitrationPolicy::Fifo,
             ArbitrationPolicy::FixedPriority,
@@ -1496,19 +1478,7 @@ mod tests {
                     };
                     for frames in [1, 3] {
                         let label = format!("{arbitration:?}/{producer_release:?}/f{frames}");
-                        let a = interpreter(cfg).run_frames(&psm, frames);
-                        let b = fast(cfg).run_frames(&psm, frames);
-                        let ta = a.trace.as_ref().expect("interpreter trace").events();
-                        let tb = b.trace.as_ref().expect("fast trace").events();
-                        assert_eq!(ta.len(), tb.len(), "{label}: event count");
-                        for (i, (x, y)) in ta.iter().zip(tb.iter()).enumerate() {
-                            assert_eq!(x, y, "{label}: event {i}");
-                        }
-                        assert_eq!(a.makespan, b.makespan, "{label}: makespan");
-                        assert_eq!(a.sas, b.sas, "{label}: sas");
-                        assert_eq!(a.ca, b.ca, "{label}: ca");
-                        assert_eq!(a.bus, b.bus, "{label}: bus");
-                        assert_eq!(a.fus, b.fus, "{label}: fus");
+                        assert_identical_traced(&psm, frames, cfg, &label);
                     }
                 }
             }
@@ -1523,14 +1493,7 @@ mod tests {
             ..EmulatorConfig::detailed()
         };
         for psm in shapes() {
-            let a = interpreter(cfg).run_frames(&psm, 2);
-            let b = fast(cfg).run_frames(&psm, 2);
-            assert_eq!(
-                a.trace.as_ref().unwrap().events(),
-                b.trace.as_ref().unwrap().events(),
-                "detailed traced"
-            );
-            assert_eq!(a.makespan, b.makespan);
+            assert_identical_traced(&psm, 2, cfg, "detailed traced");
         }
     }
 
@@ -1540,14 +1503,14 @@ mod tests {
     fn traced_fast_core_streams_to_sbt() {
         use crate::sbt::{read_trace, SbtWriter};
         let psm = segbus_apps::mp3::three_segment_psm();
-        let in_memory = fast(EmulatorConfig::traced()).run_frames(&psm, 2);
+        let in_memory = Engine::new(EmulatorConfig::traced()).run_frames(&psm, 2);
         let dir = std::env::temp_dir().join(format!("fast-sbt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mp3.sbt");
         let mut sink = SbtWriter::create(&path, 3, 10).unwrap();
         let plan = EnginePlan::new(&psm);
         let streamed = {
-            let mut engine = fast(EmulatorConfig::traced());
+            let mut engine = Engine::new(EmulatorConfig::traced());
             engine.run_plan_with_sink(&plan, 2, &mut sink)
         };
         sink.finish().unwrap();
@@ -1560,7 +1523,7 @@ mod tests {
 
     /// Deep frame pipelining through the batched arming path.
     #[test]
-    fn batched_frame_arming_matches_interpreter() {
+    fn batched_frame_arming_matches_reference() {
         let psm = segbus_apps::mp3::three_segment_psm();
         for frames in [1, 2, 7, 16] {
             assert_identical(&psm, frames, EmulatorConfig::default(), "frames");

@@ -46,8 +46,8 @@ pub mod hist;
 pub mod montecarlo;
 pub mod parallel;
 pub mod persist;
+pub mod plan;
 pub mod precheck;
-pub mod queue;
 pub mod reference;
 pub mod report;
 pub mod sbt;
@@ -60,16 +60,16 @@ pub use analysis::{
     BusAnalysis, BusUtilisation, LatencyStats, SegmentActivity,
 };
 pub use cache::{job_digest, job_digest_from, BatchJob, CacheStats, CachedPool, ReportCache};
-pub use config::{ArbitrationPolicy, EmulatorConfig, EngineKind, ProducerRelease, TimingParams};
+pub use config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease, TimingParams};
 pub use counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 pub use energy::{estimate_energy, EnergyBreakdown, EnergyModel};
-pub use engine::{Emulator, Engine, EnginePlan, LowerBoundScratch, PlanDelta};
+pub use engine::{Emulator, Engine};
 pub use gantt::ascii_gantt;
 pub use montecarlo::{run_monte_carlo, McOptions, McReport, McStats, UtilisationSpread};
 pub use parallel::{run_many, run_many_with, SweepPool};
 pub use persist::DiskStore;
+pub use plan::{EnginePlan, LowerBoundScratch, PlanDelta};
 pub use precheck::{is_emulable, strict_validate};
-pub use queue::QueueKind;
 pub use reference::ReferenceEmulator;
 pub use report::EmulationReport;
 pub use sbt::{read_trace, SbtTrace, SbtWriter};

@@ -11,7 +11,7 @@ use crate::counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 use crate::trace::TraceLog;
 
 /// Complete result of one emulation run.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EmulationReport {
     /// One entry per segment arbiter.
     pub sas: Vec<SaCounters>,

@@ -7,8 +7,9 @@
 use segbus_model::ids::{FlowId, ProcessId, SegmentId};
 use segbus_model::time::Picos;
 
-/// What happened.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// What happened. Ordered by declaration (the canonical trace key, see
+/// [`TraceEvent`]).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum TraceKind {
     /// A producer started computing a package.
     ComputeStart,
@@ -31,7 +32,12 @@ pub enum TraceKind {
 }
 
 /// One trace record.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+///
+/// `Ord` compares fields in declaration order, so it is the canonical
+/// key `(at, kind, flow, package, process, segment)`: sorting two traces
+/// by it compares them as per-instant multisets, which is how traces of
+/// different engines are compared (DESIGN.md §12).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct TraceEvent {
     /// Global time of the event.
     pub at: Picos,
@@ -67,7 +73,7 @@ impl TraceSink for TraceLog {
 }
 
 /// An append-only event log, ordered by emission time.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct TraceLog {
     events: Vec<TraceEvent>,
 }

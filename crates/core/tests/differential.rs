@@ -1,10 +1,10 @@
-//! Differential tests for the engine's event queues: the indexed
-//! calendar queue must be bit-identical to the reference binary heap on
-//! full system runs — the paper's E2 MP3 configuration and a spread of
-//! generated graph shapes — the optimised engine must reproduce the
-//! vendored pre-optimisation reference engine exactly (including under
-//! every arbitration and flow-control policy, which gate its internal
-//! shortcuts), and the sweep pool must not depend on its thread count.
+//! Differential tests of the engine core against the oracle: on full
+//! system runs — the paper's E2 MP3 configuration and a spread of
+//! generated graph shapes — the engine must reproduce the vendored
+//! pre-optimisation [`ReferenceEmulator`] report for report (including
+//! under every arbitration and flow-control policy, which gate its
+//! internal shortcuts), and the sweep pool must not depend on its thread
+//! count.
 
 use segbus_apps::generators::{
     block_allocation, chain, diamond, random_layered, round_robin_allocation, uniform_platform,
@@ -12,42 +12,20 @@ use segbus_apps::generators::{
 };
 use segbus_apps::mp3;
 use segbus_core::{
-    ArbitrationPolicy, Emulator, EmulatorConfig, ProducerRelease, QueueKind, ReferenceEmulator,
-    SweepPool,
+    ArbitrationPolicy, Emulator, EmulatorConfig, ProducerRelease, ReferenceEmulator, SweepPool,
 };
 use segbus_model::mapping::Psm;
 
-fn configs() -> (EmulatorConfig, EmulatorConfig) {
-    let indexed = EmulatorConfig {
-        queue: QueueKind::Indexed,
-        ..EmulatorConfig::default()
-    };
-    let heap = EmulatorConfig {
-        queue: QueueKind::BinaryHeap,
-        ..EmulatorConfig::default()
-    };
-    (indexed, heap)
-}
-
 /// Every observable of the run must agree, not just the makespan: the
-/// two queue implementations against each other, and the optimised
-/// engine against the vendored pre-optimisation reference.
+/// whole report of the engine equals the reference's.
 fn assert_identical(psm: &Psm, label: &str) {
-    let (indexed, heap) = configs();
-    assert_identical_under(psm, indexed, heap, label);
+    assert_identical_under(psm, EmulatorConfig::default(), label);
 }
 
-fn assert_identical_under(psm: &Psm, indexed: EmulatorConfig, heap: EmulatorConfig, label: &str) {
-    let a = Emulator::new(indexed).run(psm);
-    let b = Emulator::new(heap).run(psm);
-    let r = ReferenceEmulator::new(heap).run(psm);
-    for (x, against) in [(&b, "heap"), (&r, "reference")] {
-        assert_eq!(a.makespan, x.makespan, "{label} vs {against}: makespan");
-        assert_eq!(a.sas, x.sas, "{label} vs {against}: SA stats");
-        assert_eq!(a.ca, x.ca, "{label} vs {against}: CA stats");
-        assert_eq!(a.bus, x.bus, "{label} vs {against}: bus counters");
-        assert_eq!(a.fus, x.fus, "{label} vs {against}: FU counters");
-    }
+fn assert_identical_under(psm: &Psm, config: EmulatorConfig, label: &str) {
+    let a = Emulator::new(config).run(psm);
+    let r = ReferenceEmulator::new(config).run(psm);
+    assert_eq!(a, r, "{label}");
 }
 
 /// The engine specialises its event flow per arbitration policy (FIFO
@@ -65,19 +43,14 @@ fn all_policies_match_the_reference_engine() {
             ProducerRelease::AfterDelivery,
             ProducerRelease::AfterLocalPhase,
         ] {
-            let indexed = EmulatorConfig {
+            let config = EmulatorConfig {
                 arbitration,
                 producer_release,
                 ..EmulatorConfig::default()
             };
-            let heap = EmulatorConfig {
-                queue: QueueKind::BinaryHeap,
-                ..indexed
-            };
             assert_identical_under(
                 &psm,
-                indexed,
-                heap,
+                config,
                 &format!("{arbitration:?}/{producer_release:?}"),
             );
         }
@@ -86,7 +59,7 @@ fn all_policies_match_the_reference_engine() {
 
 /// The paper's experiment-2 system: the MP3 decoder on three segments.
 #[test]
-fn mp3_three_segment_run_is_queue_invariant() {
+fn mp3_runs_match_the_reference() {
     assert_identical(&mp3::three_segment_psm(), "mp3 E2");
     assert_identical(&mp3::two_segment_psm(), "mp3 two-segment");
     assert_identical(&mp3::three_segment_p9_moved_psm(), "mp3 P9 moved");
@@ -95,7 +68,7 @@ fn mp3_three_segment_run_is_queue_invariant() {
 /// Chains stress sequential dependencies; diamonds (fork-join) stress
 /// simultaneous arbitration, where tie-breaking order is most fragile.
 #[test]
-fn generated_graphs_are_queue_invariant() {
+fn generated_graphs_match_the_reference() {
     let cfg = GeneratorConfig::default();
     for segments in [2usize, 3] {
         let app = chain(8, cfg);
@@ -128,16 +101,14 @@ fn generated_graphs_are_queue_invariant() {
     }
 }
 
-/// Streaming runs exercise frame pipelining through both queues.
+/// Streaming runs exercise frame pipelining.
 #[test]
-fn streaming_runs_are_queue_invariant() {
-    let (indexed, heap) = configs();
+fn streaming_runs_match_the_reference() {
     let psm = mp3::three_segment_psm();
     for frames in [2u64, 5] {
-        let a = Emulator::new(indexed).run_frames(&psm, frames);
-        let b = Emulator::new(heap).run_frames(&psm, frames);
-        assert_eq!(a.makespan, b.makespan, "frames {frames}");
-        assert_eq!(a.fus, b.fus, "frames {frames}");
+        let a = Emulator::default().run_frames(&psm, frames);
+        let r = ReferenceEmulator::default().run_frames(&psm, frames);
+        assert_eq!(a, r, "frames {frames}");
     }
 }
 

@@ -91,11 +91,9 @@ COMMANDS:
     validate  <model.sbd>                 parse and run the structural constraints
     matrix    <model.sbd>                 print the communication matrix (Fig. 8 style)
     emulate   <model.sbd> [--trace] [--package-size N] [--detailed] [--frames N]
-              [--engine fast|interpreter] [--trace-out FILE.sbt]
+              [--trace-out FILE.sbt]
                                           run the performance estimator
-                                          (--engine interpreter falls back to
-                                          the general event-loop core;
-                                          --trace-out streams the event trace
+                                          (--trace-out streams the event trace
                                           to a compact binary .sbt file)
     reference <model.sbd> [--package-size N]
                                           run the cycle-accurate reference simulator
@@ -106,7 +104,7 @@ COMMANDS:
     place     <model.sbd> --segments N [--seed S]
               [--objective items|packages|makespan] [--capacity C]
               [--threads N] [--restarts R] [--cache-dir DIR]
-              [--engine fast|interpreter] [--from-trace FILE.sbt]
+              [--from-trace FILE.sbt]
                                           propose an allocation with PlaceTool;
                                           makespan searches with emulation in
                                           the loop, sharded over --threads
@@ -118,13 +116,11 @@ COMMANDS:
                                           emulate at several package sizes
     batch     <paths...> [--package-size N] [--frames N] [--detailed] [--trace]
               [--threads N] [--cache N] [--cache-dir DIR]
-              [--engine fast|interpreter]
                                           emulate many models (files or directories
                                           of .sbd) through the report cache;
                                           --cache-dir persists reports across runs
     mc        <model.sbd> [--samples N] [--seed S] [--frames N] [--threads N]
-              [--bootstrap N] [--cache N] [--cache-dir DIR]
-              [--engine fast|interpreter] [--package-size N]
+              [--bootstrap N] [--cache N] [--cache-dir DIR] [--package-size N]
                                           Monte-Carlo estimation of a stochastic
                                           model (flows annotated with items_dist /
                                           ticks_dist / jitter): mean, p50/p95/p99,
@@ -140,9 +136,8 @@ COMMANDS:
                                           redundant files, --check fails when any
                                           exist
     serve     [--port N] [--threads N] [--cache N] [--cache-dir DIR]
-              [--window N] [--max-frames N] [--engine fast|interpreter]
-              [--serve-core event-loop|threads] [--shards N]
-              [--max-in-flight N]
+              [--window N] [--max-frames N] [--serve-core event-loop|threads]
+              [--shards N] [--max-in-flight N]
                                           batched NDJSON-over-TCP emulation service
                                           on 127.0.0.1 with per-connection request
                                           pipelining; the default sharded
@@ -182,11 +177,10 @@ fn precheck(psm: &Psm, frames: u64, path: &str) -> Result<(), CliError> {
         .map_err(|e| fail(format!("{path}: {e}")))
 }
 
-/// Flags that take a value; every other `--flag` is boolean, so a
-/// following positional is never swallowed.
+/// Flags that take a value; only these may consume the next argument, so
+/// a positional after a boolean flag is never swallowed.
 const VALUE_FLAGS: &[&str] = &[
     "package-size",
-    "engine",
     "frames",
     "segments",
     "seed",
@@ -213,15 +207,25 @@ const VALUE_FLAGS: &[&str] = &[
     "time-budget",
 ];
 
+/// Flags that take no value.
+const BOOL_FLAGS: &[&str] = &["trace", "detailed", "check", "write", "portfolio"];
+
+/// Parsed `--key [value]` options, in command-line order.
+type Opts<'a> = Vec<(&'a str, Option<&'a str>)>;
+
 /// Parse `--key value` style options out of an argument list; returns
-/// (positional, lookup).
-fn split_opts(args: &[String]) -> (Vec<&str>, Vec<(&str, Option<&str>)>) {
+/// (positional, lookup). A flag that no subcommand accepts is an error,
+/// so a typo (or a removed flag) fails loudly instead of being ignored.
+fn split_opts(args: &[String]) -> Result<(Vec<&str>, Opts<'_>), CliError> {
     let mut pos = Vec::new();
     let mut opts = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if let Some(key) = a.strip_prefix("--") {
+            if !BOOL_FLAGS.contains(&key) && !VALUE_FLAGS.contains(&key) {
+                return Err(fail(format!("unknown flag {a:?} (see `segbus help`)")));
+            }
             let value = if VALUE_FLAGS.contains(&key) {
                 args.get(i + 1)
                     .map(|s| s.as_str())
@@ -238,7 +242,7 @@ fn split_opts(args: &[String]) -> (Vec<&str>, Vec<(&str, Option<&str>)>) {
         }
         i += 1;
     }
-    (pos, opts)
+    Ok((pos, opts))
 }
 
 fn opt<'a>(opts: &[(&'a str, Option<&'a str>)], key: &str) -> Option<Option<&'a str>> {
@@ -256,22 +260,6 @@ fn opt_u32(opts: &[(&str, Option<&str>)], key: &str) -> Result<Option<u32>, CliE
     }
 }
 
-/// `--engine fast|interpreter` — which emulator core runs the schedule.
-/// The specialised fast core is the default; `interpreter` is the escape
-/// hatch back to the general event-loop engine (bit-identical reports,
-/// so this only ever matters for triage).
-fn opt_engine(opts: &[(&str, Option<&str>)]) -> Result<segbus_core::EngineKind, CliError> {
-    match opt(opts, "engine") {
-        None => Ok(segbus_core::EngineKind::Fast),
-        Some(None) => Err(fail("--engine needs a value: fast or interpreter")),
-        Some(Some("fast")) => Ok(segbus_core::EngineKind::Fast),
-        Some(Some("interpreter")) => Ok(segbus_core::EngineKind::Interpreter),
-        Some(Some(other)) => Err(fail(format!(
-            "--engine: unknown engine {other:?} (fast or interpreter)"
-        ))),
-    }
-}
-
 fn apply_package_size(psm: Psm, opts: &[(&str, Option<&str>)]) -> Result<Psm, CliError> {
     match opt_u32(opts, "package-size")? {
         None => Ok(psm),
@@ -284,7 +272,7 @@ fn apply_package_size(psm: Psm, opts: &[(&str, Option<&str>)]) -> Result<Psm, Cl
 // -- subcommands --------------------------------------------------------------
 
 fn cmd_validate(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_opts(args);
+    let (pos, _) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail("usage: segbus validate <model.sbd>"));
     };
@@ -328,7 +316,7 @@ fn cmd_validate(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_matrix(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_opts(args);
+    let (pos, _) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail("usage: segbus matrix <model.sbd>"));
     };
@@ -337,15 +325,12 @@ fn cmd_matrix(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_emulate(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     let [path] = pos.as_slice() else {
-        return Err(fail("usage: segbus emulate <model.sbd> [--trace] [--package-size N] [--detailed] [--frames N] [--engine fast|interpreter] [--trace-out FILE.sbt]"));
+        return Err(fail("usage: segbus emulate <model.sbd> [--trace] [--package-size N] [--detailed] [--frames N] [--trace-out FILE.sbt]"));
     };
     let psm = apply_package_size(load_psm(path)?, &opts)?;
-    let mut config = EmulatorConfig {
-        engine: opt_engine(&opts)?,
-        ..EmulatorConfig::default()
-    };
+    let mut config = EmulatorConfig::default();
     if opt(&opts, "trace").is_some() {
         config.trace = true;
     }
@@ -386,7 +371,7 @@ fn cmd_emulate(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_reference(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus reference <model.sbd> [--package-size N]",
@@ -401,7 +386,7 @@ fn cmd_reference(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_accuracy(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus accuracy <model.sbd> [--package-size N]",
@@ -425,7 +410,7 @@ fn cmd_accuracy(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_export(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_opts(args);
+    let (pos, _) = split_opts(args)?;
     let [path, out_dir] = pos.as_slice() else {
         return Err(fail("usage: segbus export <model.sbd> <out-dir>"));
     };
@@ -448,7 +433,7 @@ fn cmd_export(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_import(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_opts(args);
+    let (pos, _) = split_opts(args)?;
     let [psdf_path, psm_path] = pos.as_slice() else {
         return Err(fail("usage: segbus import <psdf.xml> <psm.xml>"));
     };
@@ -469,13 +454,13 @@ fn cmd_import(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_place(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus place <model.sbd> --segments N [--seed S] \
              [--objective items|packages|makespan] [--capacity C] \
              [--threads N] [--restarts R] [--cache-dir DIR] \
-             [--engine fast|interpreter] [--from-trace FILE.sbt] \
+             [--from-trace FILE.sbt] \
              [--portfolio [--rounds N] [--time-budget MS]]",
         ));
     };
@@ -519,10 +504,7 @@ fn cmd_place(args: &[String]) -> Result<String, CliError> {
         }
         Some(Some(v)) => v,
     };
-    let mut tool = PlaceTool::new(app, segments).with_emulator_config(EmulatorConfig {
-        engine: opt_engine(&opts)?,
-        ..EmulatorConfig::default()
-    });
+    let mut tool = PlaceTool::new(app, segments).with_emulator_config(EmulatorConfig::default());
     if let Some((_, w)) = &measured {
         tool = tool.with_measured_weights(w);
     }
@@ -666,7 +648,7 @@ fn cmd_place(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_cache(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_opts(args);
+    let (pos, _) = split_opts(args)?;
     match pos.as_slice() {
         ["gc", dir] => {
             // A gc must never create a store; `open` would.
@@ -697,7 +679,7 @@ fn cmd_cache(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail("usage: segbus sweep <model.sbd> --sizes 18,36,72"));
     };
@@ -758,17 +740,14 @@ fn gather_models(paths: &[&str]) -> Result<Vec<String>, CliError> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     if pos.is_empty() {
         return Err(fail(
-            "usage: segbus batch <paths...> [--package-size N] [--frames N] [--detailed] [--trace] [--threads N] [--cache N] [--cache-dir DIR] [--engine fast|interpreter]",
+            "usage: segbus batch <paths...> [--package-size N] [--frames N] [--detailed] [--trace] [--threads N] [--cache N] [--cache-dir DIR]",
         ));
     }
     let files = gather_models(&pos)?;
-    let mut config = EmulatorConfig {
-        engine: opt_engine(&opts)?,
-        ..EmulatorConfig::default()
-    };
+    let mut config = EmulatorConfig::default();
     if opt(&opts, "trace").is_some() {
         config.trace = true;
     }
@@ -842,10 +821,10 @@ fn cmd_batch(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_mc(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail(
-            "usage: segbus mc <model.sbd> [--samples N] [--seed S] [--frames N] [--threads N] [--bootstrap N] [--cache N] [--cache-dir DIR] [--engine fast|interpreter] [--package-size N]",
+            "usage: segbus mc <model.sbd> [--samples N] [--seed S] [--frames N] [--threads N] [--bootstrap N] [--cache N] [--cache-dir DIR] [--package-size N]",
         ));
     };
     let psm = apply_package_size(load_psm(path)?, &opts)?;
@@ -863,10 +842,7 @@ fn cmd_mc(args: &[String]) -> Result<String, CliError> {
         frames,
         bootstrap: opt_u32(&opts, "bootstrap")?.unwrap_or(200),
     };
-    let config = EmulatorConfig {
-        engine: opt_engine(&opts)?,
-        ..EmulatorConfig::default()
-    };
+    let config = EmulatorConfig::default();
     let capacity = opt_u32(&opts, "cache")?.unwrap_or(1024) as usize;
     let threads = opt_u32(&opts, "threads")?.unwrap_or(0) as usize;
     let pool = if threads == 0 {
@@ -952,7 +928,7 @@ fn corpus_files(dir: &Path) -> Result<Vec<String>, CliError> {
 }
 
 fn cmd_corpus(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     match pos.as_slice() {
         ["gen"] | ["gen", _] => {
             let dir = Path::new(if let [_, d] = pos.as_slice() {
@@ -1083,10 +1059,10 @@ fn cmd_corpus(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     if !pos.is_empty() {
         return Err(fail(
-            "usage: segbus serve [--port N] [--threads N] [--cache N] [--cache-dir DIR] [--window N] [--max-frames N] [--engine fast|interpreter] [--serve-core event-loop|threads] [--shards N] [--max-in-flight N]",
+            "usage: segbus serve [--port N] [--threads N] [--cache N] [--cache-dir DIR] [--window N] [--max-frames N] [--serve-core event-loop|threads] [--shards N] [--max-in-flight N]",
         ));
     }
     let port = opt_u32(&opts, "port")?.unwrap_or(7878);
@@ -1125,10 +1101,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         core,
         shards,
         max_in_flight,
-        config: EmulatorConfig {
-            engine: opt_engine(&opts)?,
-            ..EmulatorConfig::default()
-        },
+        config: EmulatorConfig::default(),
         ..defaults
     })
     .map_err(|e| fail(format!("cannot start on 127.0.0.1:{port}: {e}")))?;
@@ -1141,7 +1114,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus analyze <model.sbd | trace.sbt> [--package-size N] [--frames N]",
@@ -1303,7 +1276,7 @@ package latency: no packages delivered"
 }
 
 fn cmd_gantt(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus gantt <model.sbd> [--width N] [--package-size N]",
@@ -1321,7 +1294,7 @@ fn cmd_gantt(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_vcd(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail("usage: segbus vcd <model.sbd> [--package-size N]"));
     };
@@ -1333,7 +1306,7 @@ fn cmd_vcd(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_codegen(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args)?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus codegen <model.sbd> [--format vhdl|rust]",
@@ -1715,24 +1688,27 @@ mod tests {
     }
 
     #[test]
-    fn emulate_engine_flag() {
-        let dir = tmpdir("eng");
+    fn unknown_flags_are_rejected() {
+        let dir = tmpdir("flags");
         let f = demo_file(&dir);
-        // Bit-identity contract: the default fast core and the explicit
-        // interpreter print the very same report.
-        let fast = run(&args(&["emulate", &f, "--engine", "fast"])).unwrap();
-        let default = run(&args(&["emulate", &f])).unwrap();
-        let interp = run(&args(&["emulate", &f, "--engine", "interpreter"])).unwrap();
-        assert_eq!(fast, default);
-        assert_eq!(fast, interp);
-        let err = run(&args(&["emulate", &f, "--engine", "cobol"])).unwrap_err();
-        assert!(err.message.contains("unknown engine"), "{}", err.message);
-        let err = run(&args(&["emulate", &f, "--engine"])).unwrap_err();
-        assert!(err.message.contains("needs a value"), "{}", err.message);
-        // The escape hatch rides along on batch too.
-        let b = run(&args(&["batch", &f, "--engine", "interpreter"])).unwrap();
-        assert!(b.contains("1 model(s), 0 failure(s)"), "{b}");
-        assert!(run(&args(&["batch", &f, "--engine", "x"])).is_err());
+        // A misspelt flag fails instead of silently running with defaults.
+        let err = run(&args(&["emulate", &f, "--detialed"])).unwrap_err();
+        assert!(
+            err.message.contains("unknown flag \"--detialed\""),
+            "{}",
+            err.message
+        );
+        // The removed engine selector fails loudly on every subcommand.
+        for cmd in ["emulate", "batch", "mc", "place", "serve"] {
+            let err = run(&args(&[cmd, &f, "--engine", "fast"])).unwrap_err();
+            assert!(
+                err.message.contains("unknown flag \"--engine\""),
+                "{cmd}: {}",
+                err.message
+            );
+        }
+        // Known flags still parse.
+        assert!(run(&args(&["emulate", &f, "--detailed"])).is_ok());
     }
 
     #[test]
@@ -1893,19 +1869,6 @@ mod tests {
         // The acceptance contract: byte-identical for any --threads.
         assert_eq!(one, cmd("2"));
         assert_eq!(one, cmd("8"));
-        // The interpreter escape hatch agrees with the fast core.
-        let interp = run(&args(&[
-            "mc",
-            &f,
-            "--samples",
-            "16",
-            "--seed",
-            "7",
-            "--engine",
-            "interpreter",
-        ]))
-        .unwrap();
-        assert_eq!(one, interp);
     }
 
     #[test]
@@ -1949,7 +1912,6 @@ mod tests {
         assert!(run(&args(&["mc", &f, "--samples", "0"])).is_err());
         assert!(run(&args(&["mc", &f, "--frames", "0"])).is_err());
         assert!(run(&args(&["mc"])).is_err());
-        assert!(run(&args(&["mc", &f, "--engine", "cobol"])).is_err());
     }
 
     #[test]
