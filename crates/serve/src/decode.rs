@@ -1,7 +1,8 @@
 //! Push-based newline-delimited decoding with a hard per-line byte cap.
 //!
-//! Both serve cores feed raw socket bytes into a [`LineDecoder`] and
-//! drain complete lines out of it. Over-limit lines are *discarded as
+//! Each IO shard feeds raw socket bytes into a per-connection
+//! [`LineDecoder`] and drains complete lines out of it; the serve tests'
+//! in-process oracle frames its request streams through the same type. Over-limit lines are *discarded as
 //! they stream in* (never accumulated), so a client sending an endless
 //! line costs one fixed buffer, not memory proportional to the line.
 //! The decoder is transport-agnostic — it never touches a socket — which
@@ -42,7 +43,7 @@ pub fn is_idle_read_error(e: &std::io::Error) -> bool {
 /// Incremental newline-delimited decoder with a hard per-line byte cap.
 ///
 /// Feed byte chunks of any size with [`feed`](LineDecoder::feed), drain
-/// results with [`next`](LineDecoder::next), and flush the final
+/// results with [`pop`](LineDecoder::pop), and flush the final
 /// unterminated line (if any) with [`finish`](LineDecoder::finish) at
 /// end of stream.
 pub struct LineDecoder {
@@ -68,7 +69,7 @@ impl LineDecoder {
     }
 
     /// Absorb one chunk of stream bytes; complete lines become drainable
-    /// through [`next`](LineDecoder::next).
+    /// through [`pop`](LineDecoder::pop).
     pub fn feed(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             if self.discarding {

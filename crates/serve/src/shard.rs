@@ -1,4 +1,4 @@
-//! The sharded non-blocking event-loop core (the default serve core).
+//! The sharded non-blocking event-loop core behind [`crate::Server`].
 //!
 //! # Architecture
 //!
@@ -34,8 +34,10 @@
 //!   the write buffer is above its high-water mark (a slow reader cannot
 //!   balloon the buffer);
 //! * global: at most `max_in_flight` emulation jobs submitted and
-//!   uncompleted across all shards — admission beyond the cap answers
-//!   `S005` immediately (the connection survives and can retry);
+//!   uncompleted across all shards — admission is one compare-and-swap
+//!   on a shared counter (`try_admit`), so concurrent shards can never
+//!   overshoot the cap; beyond it the request is answered `S005`
+//!   immediately (the connection survives and can retry);
 //! * in-order mode: the reorder buffer is capped at `2 × window`
 //!   ([`crate::reorder`]); overflowing it sheds the connection.
 //!
@@ -50,13 +52,14 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::decode::{is_idle_read_error, DecodedLine, LineDecoder};
 use crate::hist::LatencyHistogram;
 use crate::protocol::{self, Request, ServeStats, ShardStats};
 use crate::reorder::{Push, Reorder};
-use crate::server::{ConnLimits, ServeOptions, Server};
+use crate::server::ServeOptions;
 use crate::service::{lock_recover, BatchService, ServiceOptions};
 
 /// Read chunk per connection per loop iteration.
@@ -70,7 +73,27 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// Global in-flight cap when `ServeOptions::max_in_flight` is `0`.
 const DEFAULT_MAX_IN_FLIGHT: u64 = 4096;
 
-/// State shared by the accept thread, every shard, and the [`Server`]
+/// Per-connection limits, derived from [`ServeOptions`].
+#[derive(Clone, Copy, Debug)]
+struct ConnLimits {
+    window: usize,
+    max_line_bytes: usize,
+    proto: protocol::Limits,
+}
+
+impl ConnLimits {
+    fn from_options(opts: &ServeOptions) -> ConnLimits {
+        ConnLimits {
+            window: opts.window.max(1),
+            max_line_bytes: opts.max_line_bytes.max(1),
+            proto: protocol::Limits {
+                max_frames: opts.max_frames.max(1),
+            },
+        }
+    }
+}
+
+/// State shared by the accept thread, every shard, and the [`crate::Server`]
 /// facade.
 pub(crate) struct EventShared {
     shutdown: AtomicBool,
@@ -189,7 +212,10 @@ impl Conn {
 }
 
 /// Start the event-loop core: N shard threads plus the accept thread.
-pub(crate) fn start_event_core(opts: ServeOptions) -> std::io::Result<Server> {
+/// Returns the bound address, the shared state and every thread handle.
+pub(crate) fn start_event_core(
+    opts: ServeOptions,
+) -> std::io::Result<(SocketAddr, Arc<EventShared>, Vec<JoinHandle<()>>)> {
     let listener = TcpListener::bind(("127.0.0.1", opts.port))?;
     let addr = listener.local_addr()?;
     let service = BatchService::start(ServiceOptions {
@@ -227,7 +253,7 @@ pub(crate) fn start_event_core(opts: ServeOptions) -> std::io::Result<Server> {
     handles.push(std::thread::spawn(move || {
         accept_loop(listener, accept_shared)
     }));
-    Ok(Server::from_event(addr, shared, handles))
+    Ok((addr, shared, handles))
 }
 
 /// Shard count: explicit, or one per hardware thread capped at 8.
@@ -486,7 +512,7 @@ fn process_event(
     match protocol::parse_request(&line, &ctx.limits.proto) {
         Err((id, e)) => deliver(c, &ctx.state, this_seq, &protocol::encode_error(id, &e)),
         Ok(Request::Emulate { id, job }) => {
-            if ctx.shared.in_flight.load(Ordering::SeqCst) >= ctx.shared.max_in_flight {
+            if !try_admit(&ctx.shared.in_flight, ctx.shared.max_in_flight) {
                 ctx.state.sheds.fetch_add(1, Ordering::Relaxed);
                 let e = protocol::shed_error(&format!(
                     "global in-flight cap ({}) reached",
@@ -495,7 +521,6 @@ fn process_event(
                 deliver(c, &ctx.state, this_seq, &protocol::encode_error(id, &e));
                 return;
             }
-            ctx.shared.in_flight.fetch_add(1, Ordering::SeqCst);
             let shared = Arc::clone(&ctx.shared);
             let state = Arc::clone(&ctx.state);
             let t0 = Instant::now();
@@ -531,7 +556,7 @@ fn process_event(
             deliver(c, &ctx.state, this_seq, &line);
         }
         Ok(Request::Stats { id }) => {
-            let line = protocol::encode_stats_full(id, &snapshot(ctx));
+            let line = protocol::encode_stats(id, &snapshot(ctx));
             deliver(c, &ctx.state, this_seq, &line);
         }
         Ok(Request::Shutdown { id }) => {
@@ -541,10 +566,21 @@ fn process_event(
     }
 }
 
+/// Take one global in-flight slot: increment `in_flight` only while it
+/// is below `max`, as one atomic step, so shards admitting concurrently
+/// can never push it past the cap. `false` means shed.
+fn try_admit(in_flight: &AtomicU64, max: u64) -> bool {
+    in_flight
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+            (n < max).then_some(n + 1)
+        })
+        .is_ok()
+}
+
 /// Assemble the `stats` snapshot from published service counters and the
 /// shards' atomics — instant, never waiting on the batcher.
 fn snapshot(ctx: &ShardCtx) -> ServeStats {
-    let svc = ctx.service.stats_published();
+    let svc = ctx.service.stats();
     ServeStats {
         cache: svc.cache,
         batches: svc.batches,
@@ -565,5 +601,37 @@ fn snapshot(ctx: &ShardCtx) -> ServeStats {
         p50_us: ctx.shared.hist.quantile_us(0.50),
         p99_us: ctx.shared.hist.quantile_us(0.99),
         latency_samples: ctx.shared.hist.count(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The cap is exact under contention: eight threads released together
+    /// race 1,000 admissions each against a cap of 100, with no releases,
+    /// and admit exactly 100 between them. Repeated for 50 rounds — a
+    /// check-then-increment admission overshoots within a few rounds.
+    #[test]
+    fn admission_never_overshoots_the_cap() {
+        for _ in 0..50 {
+            let in_flight = AtomicU64::new(0);
+            let admitted = AtomicU64::new(0);
+            let gate = std::sync::Barrier::new(8);
+            std::thread::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|| {
+                        gate.wait();
+                        for _ in 0..1_000 {
+                            if try_admit(&in_flight, 100) {
+                                admitted.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(admitted.load(Ordering::Relaxed), 100);
+            assert_eq!(in_flight.load(Ordering::Relaxed), 100);
+        }
     }
 }

@@ -1,21 +1,30 @@
-//! Differential contract between the two serve cores: for identical
-//! request streams, the event-loop core and the thread-per-connection
-//! core must produce **byte-identical response bodies** — in both
-//! completion-order mode (compared as sorted sets, since completion
-//! order is timing-dependent) and in-order mode (compared as exact
-//! sequences).
+//! Differential contract between the serve event loop and an in-process
+//! oracle: for identical request streams, the server must produce
+//! **byte-identical response bodies** to a plain sequential replay of
+//! each stream through the same layers — [`LineDecoder`] framing,
+//! [`protocol::parse_request`], [`BatchService::run`] and the
+//! `protocol::encode_*` functions — in request order. The event loop
+//! changes scheduling (sharding, pipelining, batch coalescing, reordering),
+//! never answers. Completion-order connections are compared as sorted
+//! sets (their order is timing-dependent), in-order connections as exact
+//! sequences.
 //!
-//! Every emulate request in a stream uses a globally distinct `frames`
+//! Every emulate request in a run uses a globally distinct `frames`
 //! value: duplicate jobs would make the `cached` response field depend
-//! on batch-coalescing timing, which is outside the contract.
+//! on batch-coalescing timing, which is outside the contract. `stats`
+//! and `shutdown` stay out of the streams for the same reason.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 
-use segbus_serve::json;
-use segbus_serve::{ServeCore, ServeOptions, Server};
+use segbus_serve::decode::{DecodedLine, LineDecoder};
+use segbus_serve::protocol::{self, Request};
+use segbus_serve::{json, BatchService, Limits, ServeOptions, Server, ServiceOptions};
 
 const DEMO: &str = "application a {\n  process X initial;\n  process Y final;\n  flow X -> Y { items 72; order 1; ticks 100; }\n}\nplatform p {\n  segment S0 { freq_mhz 100; hosts X; }\n  segment S1 { freq_mhz 100; hosts Y; }\n}\n";
+
+const WINDOW: usize = 8;
+const MAX_LINE: usize = 1024;
 
 fn emulate_line(id: u64, frames: u64) -> String {
     let mut src = String::new();
@@ -23,16 +32,15 @@ fn emulate_line(id: u64, frames: u64) -> String {
     format!("{{\"id\": {id}, \"cmd\": \"emulate\", \"source\": {src}, \"frames\": {frames}}}")
 }
 
-/// Run every stream as a concurrent client against a fresh server of the
-/// given core; returns each client's raw response lines in arrival order.
-fn run_streams(core: ServeCore, streams: &[Vec<String>]) -> Vec<Vec<String>> {
+/// Run every stream as a concurrent client against a fresh server;
+/// returns each client's raw response lines in arrival order.
+fn serve_streams(streams: &[Vec<String>]) -> Vec<Vec<String>> {
     let mut server = Server::start(ServeOptions {
         port: 0,
         threads: 2,
         cache_capacity: 512,
-        window: 8,
-        max_line_bytes: 1024,
-        core,
+        window: WINDOW,
+        max_line_bytes: MAX_LINE,
         ..ServeOptions::default()
     })
     .unwrap();
@@ -63,6 +71,60 @@ fn run_streams(core: ServeCore, streams: &[Vec<String>]) -> Vec<Vec<String>> {
     out
 }
 
+/// The oracle: answer each stream sequentially, one request at a time in
+/// request order, through a fresh in-process [`BatchService`] — no
+/// sockets, shards, windows or reorder buffer.
+fn oracle_streams(streams: &[Vec<String>]) -> Vec<Vec<String>> {
+    let service = BatchService::start(ServiceOptions {
+        threads: 2,
+        cache_capacity: 512,
+        ..ServiceOptions::default()
+    })
+    .unwrap();
+    let limits = Limits::default();
+    streams
+        .iter()
+        .map(|lines| {
+            let mut decoder = LineDecoder::new(MAX_LINE);
+            for line in lines {
+                decoder.feed(line.as_bytes());
+                decoder.feed(b"\n");
+            }
+            let mut out = Vec::new();
+            while let Some(ev) = decoder.pop() {
+                let line = match ev {
+                    DecodedLine::Overflow => {
+                        let e = protocol::oversize_error(MAX_LINE);
+                        out.push(protocol::encode_error(0, &e));
+                        continue;
+                    }
+                    DecodedLine::Line(l) if l.trim().is_empty() => continue,
+                    DecodedLine::Line(l) => l,
+                };
+                let first = out.is_empty();
+                out.push(match protocol::parse_request(&line, &limits) {
+                    Err((id, e)) => protocol::encode_error(id, &e),
+                    Ok(Request::Emulate { id, job }) => {
+                        let o = service.run(*job);
+                        match o.result {
+                            Ok(r) => protocol::encode_report(id, o.cached, o.digest, &r),
+                            Err(e) => protocol::encode_error(id, &e),
+                        }
+                    }
+                    Ok(Request::Hello { id, in_order }) if in_order && !first => {
+                        protocol::encode_error(id, &protocol::handshake_order_error())
+                    }
+                    Ok(Request::Hello { id, in_order }) => {
+                        protocol::encode_hello(id, in_order, WINDOW)
+                    }
+                    Ok(other) => panic!("timing-dependent request in an oracle stream: {other:?}"),
+                });
+            }
+            out
+        })
+        .collect()
+}
+
 fn sorted(mut lines: Vec<String>) -> Vec<String> {
     lines.sort();
     lines
@@ -72,7 +134,7 @@ fn sorted(mut lines: Vec<String>) -> Vec<String> {
 /// S001/S002/S003/S004 errors, a blank keep-alive. Completion-order mode,
 /// so the response *sets* must match byte-for-byte.
 #[test]
-fn cores_agree_on_a_mixed_stream() {
+fn event_loop_matches_the_oracle_on_a_mixed_stream() {
     let mut stream = vec![
         emulate_line(1, 1),
         emulate_line(2, 2),
@@ -83,8 +145,8 @@ fn cores_agree_on_a_mixed_stream() {
         String::new(),                                   // blank: no response
         emulate_line(8, 3),
     ];
-    let a = run_streams(ServeCore::EventLoop, &[stream.clone()]);
-    let b = run_streams(ServeCore::Threads, &[stream.clone()]);
+    let a = serve_streams(&[stream.clone()]);
+    let b = oracle_streams(&[stream.clone()]);
     assert_eq!(a[0].len(), 7, "every non-blank line gets one response");
     assert_eq!(sorted(a[0].clone()), sorted(b[0].clone()));
 
@@ -93,25 +155,25 @@ fn cores_agree_on_a_mixed_stream() {
         0,
         "{\"id\": 0, \"cmd\": \"hello\", \"in_order\": true}".to_string(),
     );
-    let a = run_streams(ServeCore::EventLoop, &[stream.clone()]);
-    let b = run_streams(ServeCore::Threads, &[stream]);
+    let a = serve_streams(&[stream.clone()]);
+    let b = oracle_streams(&[stream]);
     assert_eq!(a[0].len(), 8);
     assert_eq!(a[0], b[0], "in-order responses must match positionally");
 }
 
 /// Adversarial completion order through the reorder buffer: the heaviest
 /// job is requested first, so every successor completes ahead of it and
-/// must wait. Both cores must still deliver in request order, and the
-/// ordered sequences must be byte-identical.
+/// must wait. The event loop must still deliver in request order, byte
+/// for byte what the oracle answers.
 #[test]
-fn cores_agree_under_adversarial_completion_order() {
+fn event_loop_matches_the_oracle_under_adversarial_completion_order() {
     let mut lines = vec!["{\"id\": 0, \"cmd\": \"hello\", \"in_order\": true}".to_string()];
     // Strictly decreasing weight: frames 40, 34, 28, ... 4.
     for (i, frames) in (1..=7u64).map(|k| 46 - 6 * k).enumerate() {
         lines.push(emulate_line(10 + i as u64, frames));
     }
-    let a = run_streams(ServeCore::EventLoop, &[lines.clone()]);
-    let b = run_streams(ServeCore::Threads, &[lines]);
+    let a = serve_streams(&[lines.clone()]);
+    let b = oracle_streams(&[lines]);
     assert_eq!(a[0], b[0]);
     // Responses are positional: ids come back in request order.
     for (i, line) in a[0].iter().skip(1).enumerate() {
@@ -126,9 +188,9 @@ fn cores_agree_under_adversarial_completion_order() {
 /// The CI serve-smoke case: 64 concurrent clients, a mix of in-order and
 /// completion-order connections, every emulate distinct. Per-client
 /// response sets (ordered sequences for the in-order half) must be
-/// byte-identical across the cores.
+/// byte-identical to the oracle's.
 #[test]
-fn cores_agree_under_64_concurrent_clients() {
+fn event_loop_matches_the_oracle_under_64_concurrent_clients() {
     const CLIENTS: u64 = 64;
     const PER_CLIENT: u64 = 4;
     let streams: Vec<Vec<String>> = (0..CLIENTS)
@@ -156,8 +218,8 @@ fn cores_agree_under_64_concurrent_clients() {
             lines
         })
         .collect();
-    let a = run_streams(ServeCore::EventLoop, &streams);
-    let b = run_streams(ServeCore::Threads, &streams);
+    let a = serve_streams(&streams);
+    let b = oracle_streams(&streams);
     assert_eq!(a.len(), b.len());
     for (client, (ra, rb)) in a.into_iter().zip(b).enumerate() {
         let in_order = client % 2 == 0;

@@ -136,14 +136,12 @@ COMMANDS:
                                           redundant files, --check fails when any
                                           exist
     serve     [--port N] [--threads N] [--cache N] [--cache-dir DIR]
-              [--window N] [--max-frames N] [--serve-core event-loop|threads]
-              [--shards N] [--max-in-flight N]
+              [--window N] [--max-frames N] [--shards N] [--max-in-flight N]
                                           batched NDJSON-over-TCP emulation service
                                           on 127.0.0.1 with per-connection request
-                                          pipelining; the default sharded
-                                          event-loop core sheds load over
-                                          --max-in-flight with S005
-                                          (see segbus-serve docs)
+                                          pipelining; the sharded event loop
+                                          sheds load over --max-in-flight
+                                          with S005 (see segbus-serve docs)
     cache     gc <dir>                    compact a --cache-dir report store,
                                           dropping dead records
     codegen   <model.sbd> [--format vhdl|rust|c]
@@ -198,7 +196,6 @@ const VALUE_FLAGS: &[&str] = &[
     "cache-dir",
     "window",
     "max-frames",
-    "serve-core",
     "shards",
     "max-in-flight",
     "trace-out",
@@ -550,11 +547,7 @@ fn cmd_place(args: &[String]) -> Result<String, CliError> {
     if restarts == 0 {
         return Err(fail("--restarts must be at least 1"));
     }
-    let use_portfolio = match opt(&opts, "portfolio") {
-        None => false,
-        Some(None) => true,
-        Some(Some(v)) => return Err(fail(format!("--portfolio takes no value (got {v:?})"))),
-    };
+    let use_portfolio = opt(&opts, "portfolio").is_some();
     let rounds = opt_u32(&opts, "rounds")?;
     let time_budget = opt_u32(&opts, "time-budget")?;
     if !use_portfolio && (rounds.is_some() || time_budget.is_some()) {
@@ -1062,7 +1055,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let (pos, opts) = split_opts(args)?;
     if !pos.is_empty() {
         return Err(fail(
-            "usage: segbus serve [--port N] [--threads N] [--cache N] [--cache-dir DIR] [--window N] [--max-frames N] [--serve-core event-loop|threads] [--shards N] [--max-in-flight N]",
+            "usage: segbus serve [--port N] [--threads N] [--cache N] [--cache-dir DIR] [--window N] [--max-frames N] [--shards N] [--max-in-flight N]",
         ));
     }
     let port = opt_u32(&opts, "port")?.unwrap_or(7878);
@@ -1083,12 +1076,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         Some(None) => return Err(fail("--cache-dir needs a directory")),
         Some(Some(dir)) => Some(std::path::PathBuf::from(dir)),
     };
-    let core = match opt(&opts, "serve-core") {
-        None => defaults.core,
-        Some(Some(s)) => segbus_serve::ServeCore::parse(s)
-            .ok_or_else(|| fail(format!("--serve-core: {s:?} is not event-loop | threads")))?,
-        Some(None) => return Err(fail("--serve-core needs a value (event-loop | threads)")),
-    };
     let shards = opt_u32(&opts, "shards")?.unwrap_or(0) as usize;
     let max_in_flight = opt_u32(&opts, "max-in-flight")?.unwrap_or(0) as usize;
     let server = Server::start(ServeOptions {
@@ -1098,7 +1085,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         cache_dir,
         window,
         max_frames,
-        core,
         shards,
         max_in_flight,
         config: EmulatorConfig::default(),
@@ -1543,8 +1529,8 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(out.lines().next(), plain.lines().next(), "same placement");
-        // Error paths: the round/budget knobs require --portfolio, rounds
-        // must be positive, and --portfolio itself takes no value.
+        // Error paths: the round/budget knobs require --portfolio, and
+        // rounds must be positive.
         let orphan = run(&args(&["place", &f, "--segments", "2", "--rounds", "2"])).unwrap_err();
         assert!(orphan.message.contains("--portfolio"), "{orphan}");
         let orphan = run(&args(&[
@@ -1567,6 +1553,10 @@ mod tests {
             "0"
         ]))
         .is_err());
+        // --portfolio is a boolean flag: a value after it is a stray
+        // positional, so the command fails with its usage line.
+        let stray = run(&args(&["place", &f, "--segments", "2", "--portfolio", "2"])).unwrap_err();
+        assert!(stray.message.contains("usage: segbus place"), "{stray}");
     }
 
     #[test]
@@ -1977,9 +1967,14 @@ mod tests {
         assert!(run(&args(&["serve", "--port", "notaport"])).is_err());
         let err = run(&args(&["serve", "--port", "99999"])).unwrap_err();
         assert!(err.message.contains("99999"), "{}", err.message);
-        let err = run(&args(&["serve", "--serve-core", "green-threads"])).unwrap_err();
-        assert!(err.message.contains("green-threads"), "{}", err.message);
-        assert!(run(&args(&["serve", "--serve-core"])).is_err());
+        // The event loop is the only core; the flag that chose between
+        // cores is gone.
+        let err = run(&args(&["serve", "--serve-core", "threads"])).unwrap_err();
+        assert!(
+            err.message.contains("unknown flag \"--serve-core\""),
+            "{}",
+            err.message
+        );
         assert!(run(&args(&["serve", "--max-in-flight", "lots"])).is_err());
     }
 }
